@@ -62,11 +62,13 @@ diff <(aggregates "$WORK/ref.out") <(aggregates "$WORK/torn.resume") \
   || fail "resumed aggregates differ from the uninterrupted run"
 
 # --- leg 3: corrupt a container record -> fsck repairs -> resume -----------
-# Interrupt a sweep at its first checkpoint so live entries stay in the
-# container, then flip one byte in the record area (past the 12-byte
-# header) and let fsck drop whatever that damaged.
+# Interrupt a sweep just before its 4th fsync, by which point both specs
+# hold live entries in the container, then flip one byte in the record
+# area (past the 12-byte header) and let fsck drop whatever that damaged.
+# The crash point counts fsyncs, not bytes, so it does not move when
+# checkpoint images change size.
 mkdir -p "$WORK/corrupt"
-DFTMSN_IO_FAULTS='crash@rename#2' \
+DFTMSN_IO_FAULTS='crash@fsync#4' \
   run_sweep "$WORK/corrupt" > "$WORK/corrupt.out" 2>&1
 rc=$?
 [ "$rc" -eq 9 ] || { cat "$WORK/corrupt.out" >&2; fail "setup crash exited $rc (want 9)"; }

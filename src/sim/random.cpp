@@ -1,7 +1,6 @@
 #include "sim/random.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 namespace dftmsn {
@@ -31,20 +30,27 @@ bool RandomStream::bernoulli(double p) {
   return uniform01() < clamped;
 }
 
+void RandomStream::CountingEngine::restore(std::uint64_t seed,
+                                           std::uint64_t draws) {
+  seed_ = seed;
+  draws_ = draws;
+  mt_.seed(seed);
+  mt_.discard(draws);
+}
+
 void RandomStream::save_state(snapshot::Writer& w) const {
-  std::ostringstream os;
-  os << engine_;
   w.begin_section("rng");
-  w.str(os.str());
+  w.u64(engine_.seed());
+  w.u64(engine_.draws());
   w.end_section();
 }
 
 void RandomStream::load_state(snapshot::Reader& r) {
   r.begin_section("rng");
-  std::istringstream is(r.str());
-  is >> engine_;
-  if (!is) throw snapshot::SnapshotError("corrupt mt19937_64 state");
+  const std::uint64_t seed = r.u64();
+  const std::uint64_t draws = r.u64();
   r.end_section();
+  engine_.restore(seed, draws);
 }
 
 namespace {

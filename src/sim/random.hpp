@@ -30,16 +30,43 @@ class RandomStream {
   /// True with probability p (clamped to [0,1]).
   bool bernoulli(double p);
 
-  std::mt19937_64& engine() { return engine_; }
-
-  /// Full engine state (the 312-word Mersenne twister vector + cursor,
-  /// via the standard textual representation): round-trips exactly, so a
-  /// restored stream continues the original draw sequence bit-for-bit.
+  /// Exact engine state in 16 bytes: the seed the stream was built from
+  /// and the number of 64-bit words drawn since (u64 seed, u64 draws).
+  /// For one seed, equal draw counts mean identical engine state, so two
+  /// same-seed streams serialize identically exactly when they would
+  /// continue identically. Loading reseeds and discards `draws` words,
+  /// so a restored stream continues the original draw sequence
+  /// bit-for-bit.
   void save_state(snapshot::Writer& w) const;
   void load_state(snapshot::Reader& r);
 
  private:
-  std::mt19937_64 engine_;
+  /// mt19937_64 that counts the words drawn from it. The distributions
+  /// draw only through it, so no draw can escape the count.
+  class CountingEngine {
+   public:
+    using result_type = std::mt19937_64::result_type;
+
+    explicit CountingEngine(std::uint64_t seed) : seed_(seed), mt_(seed) {}
+
+    static constexpr result_type min() { return std::mt19937_64::min(); }
+    static constexpr result_type max() { return std::mt19937_64::max(); }
+    result_type operator()() {
+      ++draws_;
+      return mt_();
+    }
+
+    [[nodiscard]] std::uint64_t seed() const { return seed_; }
+    [[nodiscard]] std::uint64_t draws() const { return draws_; }
+    void restore(std::uint64_t seed, std::uint64_t draws);
+
+   private:
+    std::uint64_t seed_;
+    std::uint64_t draws_ = 0;
+    std::mt19937_64 mt_;
+  };
+
+  CountingEngine engine_;
 };
 
 /// Root seed from which named substreams are derived. Substream seeds are

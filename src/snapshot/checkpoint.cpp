@@ -12,9 +12,11 @@ constexpr char kMagic[8] = {'D', 'F', 'T', 'M', 'S', 'N', 'C', 'K'};
 // registry section, and metrics drops are keyed on DropReason.
 // v3: trace-driven mobility (MobilityKind::kTrace) serializes a new
 // trace_mobility model section, and the registered config key set (which
-// feeds the meta config digest) gained scenario.trace_path. Strict
-// equality check: older files are rejected, not migrated.
-constexpr std::uint32_t kFormatVersion = 3;
+// feeds the meta config digest) gained scenario.trace_path.
+// v4: every "rng" section holds (u64 seed, u64 draws) instead of the
+// mt19937_64 textual state. Strict equality check: older files are
+// rejected, not migrated.
+constexpr std::uint32_t kFormatVersion = 4;
 constexpr std::size_t kDigestBytes = 8;
 
 }  // namespace

@@ -169,7 +169,7 @@ TEST(ScenarioConformance, StaleCheckpointFormatIsRejected) {
   std::vector<std::uint8_t> image = make_checkpoint(world);
   std::remove(cfg.scenario.trace_path.c_str());
 
-  image[8] = 2;  // u32 version little-endian, directly after the magic
+  image[8] = 3;  // u32 version little-endian, directly after the magic
   snapshot::StateHash h;
   h.update(image.data(), image.size() - 8);
   for (int i = 0; i < 8; ++i)
@@ -180,9 +180,9 @@ TEST(ScenarioConformance, StaleCheckpointFormatIsRejected) {
     FAIL() << "expected stale-version rejection";
   } catch (const snapshot::SnapshotError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("unsupported format version 2"), std::string::npos)
+    EXPECT_NE(what.find("unsupported format version 3"), std::string::npos)
         << what;
-    EXPECT_NE(what.find("this build reads version 3"), std::string::npos)
+    EXPECT_NE(what.find("this build reads version 4"), std::string::npos)
         << what;
     EXPECT_EQ(what.find('\n'), std::string::npos) << "one-line error: " << what;
   }

@@ -41,7 +41,7 @@ TEST(CheckpointFormat, MetaRoundTrips) {
   world.run_until(250.0);
   const std::vector<std::uint8_t> image = make_checkpoint(world);
   const CheckpointMeta meta = read_checkpoint_meta(image);
-  EXPECT_EQ(meta.version, 3u);  // v3: trace mobility + trace_path key
+  EXPECT_EQ(meta.version, 4u);  // v4: rng streams as (seed, draws)
   EXPECT_EQ(meta.config_digest, config_digest(cfg, ProtocolKind::kOpt));
   EXPECT_EQ(meta.protocol,
             static_cast<std::uint32_t>(ProtocolKind::kOpt));

@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "../testutil/trace_fixtures.hpp"
+#include "experiment/presets.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/world.hpp"
 
@@ -141,6 +142,19 @@ TEST(CheckpointRoundTrip, FaultPlansSurviveResume) {
   resumed->run();
   expect_identical_results(reduce_world(world), reduce_world(*resumed),
                            "faults");
+}
+
+TEST(CheckpointRoundTrip, PaperPresetImageStaysSmall) {
+  // Size guard on the encoding: every random stream is 16 bytes of
+  // (seed, draws). Writing engines out whole (312 words each, ~20 KB per
+  // sensor) would fail this bound.
+  const std::optional<Config> cfg = scenario_preset("paper");
+  ASSERT_TRUE(cfg.has_value());
+  World world(*cfg, ProtocolKind::kOpt);
+  world.run_until(100.0);
+  const std::size_t bytes = make_checkpoint(world).size();
+  const auto sensors = static_cast<std::size_t>(cfg->scenario.num_sensors);
+  EXPECT_LT(bytes, 4096u * sensors) << bytes / sensors << " B per sensor";
 }
 
 }  // namespace

@@ -249,5 +249,79 @@ TEST(CkptContainer, CrashAtEveryWriteBoundaryNeverLosesThePreviousPut) {
   }
 }
 
+TEST(CkptContainer, CrashInsideACompactingPutKeepsEveryLastGeneration) {
+  EnvGuard guard;
+  TempDir dir("cc_compactcrash.tmp");
+  IoEnv& io = IoEnv::instance();
+
+  // Two specs at ~128 KiB per record. After A1 B1 A2 B2 A3 the dead
+  // records (A1 B1 A2) pass both the 256 KiB floor and the live size
+  // (A3 B2), so the put of B3 compacts in place before it appends.
+  constexpr std::size_t kLen = 128 * 1024;
+  constexpr std::uint64_t kA = 1, kB = 2;
+  const std::string seed = dir.path + "/seed.dcc";
+  for (std::uint64_t gen = 1; gen <= 2; ++gen) {
+    container_put(seed, kA, payload(kA * 10 + gen, kLen));
+    container_put(seed, kB, payload(kB * 10 + gen, kLen));
+  }
+  container_put(seed, kA, payload(kA * 10 + 3, kLen));
+  const ContainerScanResult before = container_scan(seed);
+  ASSERT_GT(before.dead_bytes, 256u * 1024u);
+
+  {
+    // Without a fault the put compacts: three dead records go, B2 alone
+    // is left dead, so the file shrinks even though a record was added.
+    const std::string path = dir.path + "/clean.dcc";
+    fs::copy_file(seed, path);
+    container_put(path, kB, payload(kB * 10 + 3, kLen));
+    EXPECT_LT(fs::file_size(path), fs::file_size(seed));
+    const ContainerScanResult after = container_scan(path);
+    EXPECT_TRUE(after.clean);
+    EXPECT_LT(after.dead_bytes, before.dead_bytes / 2);
+  }
+
+  // Crash before and after every op occurrence of that put (the
+  // compaction's tmp write, fsync, rename and directory fsync, then the
+  // append) until the fault no longer fires. A's last generation and B's
+  // last or new one must survive, and repair must reach a clean scan.
+  for (const char* kind : {"crash", "crash-after"}) {
+    for (const char* op : {"open", "write", "fsync", "rename", "fsyncdir"}) {
+      for (std::uint64_t nth = 1; nth <= 32; ++nth) {
+        const std::string point =
+            std::string(kind) + "@" + op + "#" + std::to_string(nth);
+        const std::string path = dir.path + "/c_" + kind + "_" + op + "_" +
+                                 std::to_string(nth) + ".dcc";
+        io.reset();
+        fs::copy_file(seed, path);
+        io.set_schedule_spec(point);
+        bool crashed = false;
+        try {
+          container_put(path, kB, payload(kB * 10 + 3, kLen));
+        } catch (const InjectedCrash&) {
+          crashed = true;
+        }
+        io.reset();
+
+        const auto a = container_get(path, kA);
+        const auto b = container_get(path, kB);
+        ASSERT_TRUE(a.has_value()) << point << " lost spec A";
+        ASSERT_TRUE(b.has_value()) << point << " lost spec B";
+        EXPECT_EQ(*a, payload(kA * 10 + 3, kLen)) << point;
+        EXPECT_TRUE(*b == payload(kB * 10 + 2, kLen) ||
+                    *b == payload(kB * 10 + 3, kLen))
+            << point << " surfaced garbage";
+        if (!crashed) {
+          EXPECT_EQ(*b, payload(kB * 10 + 3, kLen)) << point;
+          break;
+        }
+        container_repair(path);
+        EXPECT_TRUE(container_scan(path).clean) << point;
+        EXPECT_EQ(*container_get(path, kA), *a) << point;
+        EXPECT_EQ(*container_get(path, kB), *b) << point;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dftmsn::snapshot
