@@ -23,6 +23,7 @@ void MobilityManager::add_node(NodeId id, std::unique_ptr<MobilityModel> model) 
   if (!model) throw std::invalid_argument("MobilityManager: null model");
   if (index_) index_->insert(id, model->position());
   models_.push_back(std::move(model));
+  ++epoch_;
 }
 
 void MobilityManager::start() {
@@ -32,6 +33,7 @@ void MobilityManager::start() {
 }
 
 void MobilityManager::refresh_index() {
+  ++epoch_;
   if (!index_) return;
   for (NodeId id = 0; id < models_.size(); ++id)
     index_->update(id, models_[id]->position());

@@ -4,6 +4,7 @@
 // scan neighboring cells instead of all n nodes.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -68,6 +69,12 @@ class MobilityManager {
   /// Distance between two registered nodes.
   [[nodiscard]] double distance_between(NodeId a, NodeId b) const;
 
+  /// Changes whenever a node position may have changed: a node was added,
+  /// the tick moved the nodes, or a snapshot was restored. Positions hold
+  /// still between two changes, so anything derived from them (e.g. the
+  /// channel's per-node neighbour lists) stays exact until then.
+  [[nodiscard]] std::uint64_t positions_epoch() const { return epoch_; }
+
   /// Wall-clock profiler for the periodic tick (telemetry; nullptr =
   /// disabled, never perturbs the simulation).
   void set_profiler(telemetry::Profiler* profiler) { profiler_ = profiler; }
@@ -80,11 +87,13 @@ class MobilityManager {
 
  private:
   void tick();
+  /// Re-syncs the index with the models and bumps the positions epoch.
   void refresh_index();
 
   Simulator& sim_;
   double step_;
   bool started_ = false;
+  std::uint64_t epoch_ = 0;
   std::vector<std::unique_ptr<MobilityModel>> models_;
   std::unique_ptr<SpatialIndex> index_;  ///< null = brute-force queries
   telemetry::Profiler* profiler_ = nullptr;

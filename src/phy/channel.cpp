@@ -21,6 +21,7 @@ void Channel::attach(NodeId id, Radio& radio, ChannelListener& listener) {
     throw std::invalid_argument("Channel: nodes must attach in id order");
   nodes_.push_back(NodeRx{&radio, &listener, {}, 0, false});
   failed_.push_back(0);
+  neighbor_cache_.emplace_back();
 }
 
 void Channel::set_node_failed(NodeId id, bool failed) {
@@ -40,7 +41,17 @@ SimTime Channel::tx_duration(std::size_t bits) const {
 bool Channel::busy(NodeId id) const { return !nodes_.at(id).hearing.empty(); }
 
 bool Channel::anyone_in_range(NodeId id) const {
-  return mobility_.any_neighbor_within(id, range_m_);
+  return !neighbors(id).empty();
+}
+
+const std::vector<NodeId>& Channel::neighbors(NodeId id) const {
+  NeighborCache& c = neighbor_cache_.at(id);
+  const std::uint64_t epoch = mobility_.positions_epoch();
+  if (c.epoch != epoch) {
+    mobility_.neighbors_of(id, range_m_, c.ids);
+    c.epoch = epoch;
+  }
+  return c.ids;
 }
 
 bool Channel::erase_value(std::vector<TxId>& v, TxId value) {
@@ -76,17 +87,29 @@ SimTime Channel::transmit(NodeId sender, Frame frame) {
   telemetry::ScopedTimer scan_timer(profiler_,
                                     telemetry::Subsystem::kChannelScan);
 
+  std::uint32_t slot;
+  if (free_in_flight_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    slot = free_in_flight_.back();
+    free_in_flight_.pop_back();
+  }
+  InFlight& tx = in_flight_[slot];
+  tx.id = id;
+  tx.sender = sender;
+  tx.frame = std::move(frame);
+  tx.audience.clear();
+
   // Audience snapshot at frame start: awake nodes in range that are not
   // themselves transmitting. A node that wakes mid-frame misses it.
-  mobility_.neighbors_of(sender, range_m_, scratch_neighbors_);
-  std::vector<NodeId> audience;
-  for (const NodeId nb : scratch_neighbors_) {
+  for (const NodeId nb : neighbors(sender)) {
     if (nb >= nodes_.size()) continue;
     if (failed_[nb]) continue;
     NodeRx& n = nodes_[nb];
     const RadioState st = n.radio->state();
     if (st != RadioState::kIdle && st != RadioState::kRx) continue;
-    audience.push_back(nb);
+    tx.audience.push_back(nb);
 
     const bool was_quiet = n.hearing.empty();
     n.hearing.push_back(id);
@@ -102,22 +125,23 @@ SimTime Channel::transmit(NodeId sender, Frame frame) {
     }
   }
 
-  sim_.schedule_in(duration, [this, id, sender, frame = std::move(frame),
-                              audience = std::move(audience)]() mutable {
-    finish_tx(id, sender, frame, std::move(audience));
-  });
+  sim_.schedule_in(duration, [this, slot] { finish_tx(slot); });
   return duration;
 }
 
-void Channel::finish_tx(TxId id, NodeId sender, const Frame& frame,
-                        std::vector<NodeId> audience) {
+void Channel::finish_tx(std::uint32_t slot) {
+  // Listeners may transmit from the callbacks below, taking other slots;
+  // this one stays reserved (and, in the deque, in place) until the end.
+  const InFlight& tx = in_flight_[slot];
+  const TxId id = tx.id;
+  const NodeId sender = tx.sender;
   // A sender that crashed mid-frame already had its radio forced down; the
   // frame tail was never emitted, so every reception of it is corrupt.
   const bool sender_died = failed_.at(sender) != 0;
   Radio& sender_radio = *nodes_.at(sender).radio;
   if (sender_radio.state() == RadioState::kTx) sender_radio.end_tx();
 
-  for (const NodeId nb : audience) {
+  for (const NodeId nb : tx.audience) {
     NodeRx& n = nodes_.at(nb);
     // If the node slept (or crashed) meanwhile, forget() wiped its
     // bookkeeping.
@@ -140,7 +164,7 @@ void Channel::finish_tx(TxId id, NodeId sender, const Frame& frame,
       }
       if (clean && in_range && !sender_died && !corrupted_by_fault) {
         ++counters_.frames_delivered;
-        n.listener->on_frame_received(frame);
+        n.listener->on_frame_received(tx.frame);
       } else {
         ++counters_.collisions;
         n.listener->on_collision();
@@ -148,6 +172,7 @@ void Channel::finish_tx(TxId id, NodeId sender, const Frame& frame,
     }
     if (n.hearing.empty() && n.radio->awake()) n.listener->on_channel_idle();
   }
+  free_in_flight_.push_back(slot);
 }
 
 void Channel::save_state(snapshot::Writer& w) const {

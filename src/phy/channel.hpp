@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -71,6 +72,13 @@ class Channel {
   /// of `id` — the lone-sender fast-path check.
   [[nodiscard]] bool anyone_in_range(NodeId id) const;
 
+  /// Every node other than `id` within radio range of it (regardless of
+  /// radio state), ascending by id: MobilityManager::neighbors_of at the
+  /// channel range. Cached per node; the list is refilled on the first
+  /// query after the positions epoch moves, so it is always exact. The
+  /// reference is valid until the next query for `id`.
+  [[nodiscard]] const std::vector<NodeId>& neighbors(NodeId id) const;
+
   /// Clears `id`'s reception state (call just before putting its radio to
   /// sleep; an in-progress reception is abandoned without callbacks).
   void forget(NodeId id);
@@ -93,18 +101,29 @@ class Channel {
 
   /// Snapshot: counters, fault flags, tx-id allocator and every node's
   /// reception bookkeeping. load_state requires the same node population
-  /// to be attached already; in-flight finish_tx events are replayed from
-  /// the event queue (see snapshot_io.hpp).
+  /// to be attached already; in-flight finish_tx events (and the pool
+  /// slots they name) are replayed from the event queue (see
+  /// snapshot_io.hpp).
   void save_state(snapshot::Writer& w) const;
   void load_state(snapshot::Reader& r);
 
  private:
   using TxId = std::uint64_t;
 
-  struct ActiveTx {
-    TxId id;
-    NodeId sender;
+  /// One transmission between transmit() and its finish_tx event. Slots
+  /// are recycled, and a recycled slot keeps its audience capacity.
+  struct InFlight {
+    TxId id = 0;
+    NodeId sender = 0;
     Frame frame;
+    std::vector<NodeId> audience;  ///< receivers snapshotted at frame start
+  };
+
+  /// A node's neighbour list at range_m_, valid while `epoch` equals the
+  /// mobility positions epoch.
+  struct NeighborCache {
+    std::uint64_t epoch = ~std::uint64_t{0};
+    std::vector<NodeId> ids;
   };
 
   /// Per-node reception bookkeeping.
@@ -116,8 +135,8 @@ class Channel {
     bool locked_clean = false;
   };
 
-  void finish_tx(TxId id, NodeId sender, const Frame& frame,
-                 std::vector<NodeId> audience);
+  /// Ends the transmission held in in_flight_[slot] and frees the slot.
+  void finish_tx(std::uint32_t slot);
 
   static bool erase_value(std::vector<TxId>& v, TxId value);
 
@@ -125,9 +144,13 @@ class Channel {
   const MobilityManager& mobility_;
   double range_m_;
   double bandwidth_bps_;
-  std::vector<NodeId> scratch_neighbors_;  ///< per-transmit query reuse
   std::vector<NodeRx> nodes_;
   std::vector<char> failed_;  ///< parallel to nodes_: 1 = crashed/outage
+  mutable std::vector<NeighborCache> neighbor_cache_;  ///< parallel to nodes_
+  // A deque, so the element finish_tx is iterating stays put when a
+  // listener transmits from inside it and the pool grows.
+  std::deque<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_in_flight_;
   TxId next_tx_id_ = 1;
   Counters counters_;
   CorruptionHook corruption_hook_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace dftmsn {
 
@@ -31,6 +32,11 @@ EventHandle CalendarQueue::schedule(SimTime at, Callback cb) {
   const std::uint32_t gen = pool_->slots[slot].gen;
   const EventSeq seq = next_seq_++;
   const std::uint64_t vb = vbucket_of(at);
+  if (slot == callbacks_.size()) {
+    callbacks_.push_back(std::move(cb));
+  } else {
+    callbacks_[slot] = std::move(cb);
+  }
 
   Bucket& b = buckets_[vb & mask_];
   // Mostly-append: events land in (at, seq) order far more often than not.
@@ -39,7 +45,7 @@ EventHandle CalendarQueue::schedule(SimTime at, Callback cb) {
          entry_before(at, seq, (pos - 1)->at, (pos - 1)->seq)) {
     --pos;
   }
-  b.v.insert(pos, Entry{at, seq, vb, slot, std::move(cb)});
+  b.v.insert(pos, Entry{at, seq, vb, slot});
 
   if (vb < cursor_vb_) cursor_vb_ = vb;
   // The cache is a lower bound on every live entry even after its slot
@@ -61,7 +67,7 @@ EventHandle CalendarQueue::schedule(SimTime at, Callback cb) {
 
 void CalendarQueue::prune_front(Bucket& b) const {
   while (!b.empty() && pool_->dead(b.front().slot)) {
-    pool_->release(b.front().slot);
+    drop_dead(b.front().slot);
     b.pop_front();
   }
 }
@@ -129,17 +135,19 @@ CalendarQueue::Popped CalendarQueue::pop() {
   ensure_front();
 
   Bucket& b = buckets_[front_bucket_];
-  Entry entry = std::move(b.front());
+  const Entry entry = b.front();
   b.pop_front();
-  // Retire the slot before running anything so stale handles report
+  // Move the callback out before it runs: anything it schedules may grow
+  // the slab. Retire the slot first too, so stale handles report
   // !pending() and a cancel() from inside the callback is a no-op.
+  Popped popped{entry.at, std::exchange(callbacks_[entry.slot], nullptr)};
   pool_->release(entry.slot);
   cursor_vb_ = entry.vbucket;
   front_valid_ = false;
 
   if (buckets_.size() > kMinBuckets && pool_->live < buckets_.size() / 2)
     resize(buckets_.size() / 2);
-  return Popped{entry.at, std::move(entry.cb)};
+  return popped;
 }
 
 SimTime CalendarQueue::pop_and_run() {
@@ -155,9 +163,9 @@ void CalendarQueue::resize(std::size_t new_bucket_count) {
   for (Bucket& b : buckets_) {
     for (std::size_t i = b.head; i < b.v.size(); ++i) {
       if (pool_->dead(b.v[i].slot)) {
-        pool_->release(b.v[i].slot);
+        drop_dead(b.v[i].slot);
       } else {
-        live.push_back(std::move(b.v[i]));
+        live.push_back(b.v[i]);
       }
     }
   }
@@ -188,7 +196,7 @@ void CalendarQueue::resize(std::size_t new_bucket_count) {
   // Ascending insertion keeps every bucket sorted with plain appends.
   for (Entry& e : live) {
     e.vbucket = vbucket_of(e.at);
-    buckets_[e.vbucket & mask_].v.push_back(std::move(e));
+    buckets_[e.vbucket & mask_].v.push_back(e);
   }
   cursor_vb_ = live.empty() ? 0 : vbucket_of(live.front().at);
   front_valid_ = false;

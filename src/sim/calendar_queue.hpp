@@ -17,6 +17,11 @@
 // generation bumped) when its entry leaves the queue, so stale handles
 // become inert no-ops — same semantics as the historical
 // shared_ptr<bool> scheme at zero allocations per event.
+//
+// Callbacks: a slot names exactly one queued entry, so the callbacks live
+// in a queue-owned slab indexed by slot and bucket entries are trivially
+// copyable (time, seq, vbucket, slot) records. A sorted mid-bucket insert
+// or a resize then moves 32-byte PODs, never a std::function.
 #pragma once
 
 #include <cassert>
@@ -24,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -176,9 +182,9 @@ class CalendarQueue {
     SimTime at;
     EventSeq seq;
     std::uint64_t vbucket;  ///< floor(at / width_) at insertion time
-    std::uint32_t slot;     ///< cancellation-pool slot
-    Callback cb;
+    std::uint32_t slot;     ///< cancellation-pool slot; indexes callbacks_
   };
+  static_assert(std::is_trivially_copyable_v<Entry>);
 
   /// One bucket: entries sorted ascending by (at, seq), with a consumed
   /// prefix [0, head) so front removal is O(1) amortized even under
@@ -209,6 +215,13 @@ class CalendarQueue {
   /// Drops dead entries from the front of `b`, retiring their slots.
   void prune_front(Bucket& b) const;
 
+  /// Retires the slot of a cancelled entry that left the queue and frees
+  /// its callback.
+  void drop_dead(std::uint32_t slot) const {
+    callbacks_[slot] = nullptr;
+    pool_->release(slot);
+  }
+
   /// Locates the earliest live entry and caches it in front_*. O(1)
   /// amortized; precondition: !empty().
   void find_front() const;
@@ -228,6 +241,7 @@ class CalendarQueue {
   // logically-const read API — same pattern as the old heap's
   // skip_cancelled().
   std::shared_ptr<detail::CancelPool> pool_;
+  mutable std::vector<Callback> callbacks_;  ///< slot -> callback
   mutable std::vector<Bucket> buckets_;
   std::size_t mask_ = 0;           ///< buckets_.size() - 1 (power of two)
   double width_ = 1.0;             ///< bucket span in simulated seconds

@@ -86,6 +86,16 @@ TEST(ListenWindow, MinTauMaxReturnsCapWhenUnattainable) {
   EXPECT_EQ(LWO::min_tau_max(xis, 1e-6, 4), 4);
 }
 
+TEST(ListenWindow, MinTauMaxNeverExceedsCap) {
+  // γ(1) = 1 > 0.5 and γ(2) = 0.5: the answer would be 2, but the cap is
+  // 1, so the target is unattainable within it.
+  const std::vector<double> xis{1.0, 0.1};
+  ASSERT_GT(LWO::collision_probability(xis, 1), 0.5);
+  ASSERT_LE(LWO::collision_probability(xis, 2), 0.5);
+  EXPECT_EQ(LWO::min_tau_max(xis, 0.5, 1), 1);
+  EXPECT_EQ(LWO::min_tau_max(xis, 0.5, 2), 2);
+}
+
 TEST(ListenWindow, AnalyticMatchesMonteCarlo) {
   const std::vector<double> xis{0.3, 0.6, 0.9};
   RandomStream rng(99);

@@ -7,14 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "../testutil/trace_fixtures.hpp"
 #include "experiment/world.hpp"
 #include "geom/spatial_index.hpp"
 #include "mobility/mobility_model.hpp"
+#include "scenario/scenario.hpp"
+#include "snapshot/checkpoint.hpp"
 
 namespace dftmsn {
 namespace {
@@ -216,6 +220,85 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, SpatialIndexMobility,
                          [](const auto& info) {
                            return mobility_kind_name(info.param);
                          });
+
+// ---------------------------------------------------------------------------
+// Channel neighbour cache: the per-node lists the channel keeps between
+// position changes, and the carrier-sense fast path answered from them,
+// must equal the brute-force oracle after every mobility tick — also in a
+// world rebuilt from a checkpoint by replay.
+
+void expect_channel_cache_exact(const World& w, const std::string& where) {
+  const MobilityManager& mm = w.mobility();
+  const double range = w.config().radio.range_m;
+  for (NodeId id = 0; id < mm.node_count(); ++id) {
+    const std::vector<NodeId> want = mm.neighbors_of_scan(id, range);
+    ASSERT_EQ(w.channel().anyone_in_range(id), !want.empty())
+        << where << " id=" << id;
+    ASSERT_EQ(w.channel().neighbors(id), want) << where << " id=" << id;
+  }
+}
+
+/// Runs `c` tick by tick to its horizon, checkpointing halfway; the
+/// resumed world is then checked from the cut to the horizon too.
+void check_channel_cache_trajectory(const Config& c, const std::string& label) {
+  const double step = c.scenario.mobility_step_s;
+  const int ticks = static_cast<int>(c.scenario.duration_s / step);
+  const int cut = ticks / 2;
+  World w(c, ProtocolKind::kOpt);
+  expect_channel_cache_exact(w, label + " t=0");
+  std::vector<std::uint8_t> image;
+  for (int k = 1; k <= ticks && !::testing::Test::HasFatalFailure(); ++k) {
+    w.run_until(k * step);
+    expect_channel_cache_exact(w, label + " tick " + std::to_string(k));
+    if (k == cut) image = make_checkpoint(w);
+  }
+  ASSERT_FALSE(image.empty());
+  const std::unique_ptr<World> resumed =
+      resume_world(c, ProtocolKind::kOpt, image);
+  expect_channel_cache_exact(*resumed, label + " resumed");
+  for (int k = cut + 1; k <= ticks && !::testing::Test::HasFatalFailure();
+       ++k) {
+    resumed->run_until(k * step);
+    expect_channel_cache_exact(*resumed,
+                               label + " resumed tick " + std::to_string(k));
+  }
+}
+
+class SpatialIndexChannelCache
+    : public ::testing::TestWithParam<MobilityKind> {};
+
+TEST_P(SpatialIndexChannelCache, ExactAfterEveryTickAndResume) {
+  Config c;
+  c.scenario.num_sensors = 40;
+  c.scenario.num_sinks = 3;
+  c.scenario.duration_s = 120.0;
+  c.scenario.seed = 20261017;
+  c.scenario.speed_min_mps = 0.5;
+  c.scenario.mobility = GetParam();
+  if (GetParam() == MobilityKind::kTrace) {
+    c.scenario.trace_path = testutil::write_test_trace(
+        "spatial_index_cache_test.tmp.trc", c.scenario.num_sensors,
+        c.scenario.field_m, c.scenario.duration_s, c.scenario.seed);
+  }
+  check_channel_cache_trajectory(c, mobility_kind_name(GetParam()));
+  if (!c.scenario.trace_path.empty()) std::remove(c.scenario.trace_path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, SpatialIndexChannelCache,
+                         ::testing::Values(MobilityKind::kZone,
+                                           MobilityKind::kWaypoint,
+                                           MobilityKind::kPatrol,
+                                           MobilityKind::kTrace),
+                         [](const auto& info) {
+                           return mobility_kind_name(info.param);
+                         });
+
+TEST(SpatialIndexChannelCacheScenario, ConvoyExactAfterEveryTickAndResume) {
+  Config c = materialize_scenario("convoy", 45, ".");
+  c.scenario.duration_s = 120.0;
+  check_channel_cache_trajectory(c, "convoy");
+  std::remove(c.scenario.trace_path.c_str());
+}
 
 }  // namespace
 }  // namespace dftmsn
