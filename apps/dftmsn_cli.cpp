@@ -130,7 +130,7 @@ int usage(int code) {
       "                    TCP port P (0 = ephemeral port, announced as\n"
       "                    \"dispatch: listening on HOST:PORT\"); specs run\n"
       "                    on connected --connect workers; incompatible\n"
-      "                    with --isolate process\n"
+      "                    with --isolate process and --checkpoint-every\n"
       "  --dispatch-bind A bind address for --dispatch-port\n"
       "                    (default 127.0.0.1)\n"
       "  --lease-secs S    lease duration per granted batch; heartbeats\n"

@@ -99,6 +99,14 @@ const char* frame_type_name(FrameType t) {
 
 }  // namespace
 
+double retry_backoff_s(double base_s, int k) {
+  return std::min(5.0, base_s * std::pow(2.0, k - 1));
+}
+
+std::string attempt_failure_detail(int attempt, const std::string& error) {
+  return sanitize("attempt " + std::to_string(attempt) + ": " + error);
+}
+
 std::vector<std::uint8_t> encode_hello_frame(const std::string& worker_name) {
   snapshot::Writer w;
   w.u32(kDispatchWireVersion);
@@ -341,8 +349,7 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
     }
     st[i] = SState::kWaiting;
     ready_at[i] =
-        now_s() + std::min(5.0, policy.retry_backoff_s *
-                                    std::pow(2.0, requeues[i] - 1));
+        now_s() + retry_backoff_s(policy.retry_backoff_s, requeues[i]);
     if (cb.on_requeued) cb.on_requeued(i, requeues[i], reason);
   };
 
@@ -425,8 +432,7 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
     } else {
       // Worker-reported simulation failure: the normal retry /
       // quarantine path, with the local loop's detail formatting.
-      const std::string detail =
-          sanitize("attempt " + std::to_string(a) + ": " + wres.error);
+      const std::string detail = attempt_failure_detail(a, wres.error);
       const int next_attempt = a + 1;
       attempt[f.spec] = next_attempt;
       if (next_attempt > policy.max_retries) {
@@ -436,8 +442,7 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
       } else {
         st[f.spec] = SState::kWaiting;
         ready_at[f.spec] =
-            now_s() + std::min(5.0, policy.retry_backoff_s *
-                                        std::pow(2.0, next_attempt - 1));
+            now_s() + retry_backoff_s(policy.retry_backoff_s, next_attempt);
         if (cb.on_retrying) cb.on_retrying(f.spec, next_attempt, detail);
       }
     }
@@ -445,7 +450,20 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
     update_worker_row(fd, true);
   };
 
+  // Waiting specs whose backoff elapsed go back on the queue. Runs at
+  // the loop top and before every grant, so a request arriving in the
+  // poll that requeued a spec with zero backoff is granted it.
+  const auto promote_waiting = [&] {
+    const double now = now_s();
+    for (std::size_t i = 0; i < n; ++i)
+      if (st[i] == SState::kWaiting && ready_at[i] <= now) {
+        st[i] = SState::kReady;
+        ready.push_back(i);
+      }
+  };
+
   const auto handle_request = [&](int fd) {
+    promote_waiting();
     std::vector<GrantItem> items;
     std::vector<std::size_t> granted;
     while (!ready.empty() &&
@@ -511,14 +529,8 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
       stopped = true;
       break;
     }
+    promote_waiting();
     const double now = now_s();
-
-    // Waiting specs whose backoff elapsed go back on the queue.
-    for (std::size_t i = 0; i < n; ++i)
-      if (st[i] == SState::kWaiting && ready_at[i] <= now) {
-        st[i] = SState::kReady;
-        ready.push_back(i);
-      }
 
     // Expired leases: the worker crashed, hung, or was partitioned —
     // whatever the cause, it lost the lease and the batch is requeued.

@@ -129,6 +129,15 @@ std::vector<std::uint8_t> encode_heartbeat_frame(std::uint64_t lease_id,
 std::size_t try_extract_frame(const std::uint8_t* data, std::size_t len,
                               const std::string& context, WireFrame* out);
 
+/// The retry rule every backend applies. After failure k of a spec
+/// (k = 1, 2, ...) the retry waits min(5, base_s * 2^(k-1)) wall
+/// seconds; a transport requeue waits the same per loss.
+double retry_backoff_s(double base_s, int k);
+
+/// The manifest detail of a failed attempt: "attempt N: <error>", on one
+/// line.
+std::string attempt_failure_detail(int attempt, const std::string& error);
+
 /// Retry/requeue policy the supervisor hands the dispatcher; mirrors
 /// the local supervision loop so a dispatched sweep makes the identical
 /// accept/retry/quarantine decisions.

@@ -9,7 +9,6 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,6 +28,7 @@
 
 #include "common/thread_pool.hpp"
 #include "experiment/dispatch.hpp"
+#include "experiment/worker.hpp"
 #include "experiment/worker_protocol.hpp"
 #include "experiment/world.hpp"
 #include "snapshot/checkpoint.hpp"
@@ -155,30 +155,34 @@ bool get_result(std::istream& is, RunResult* r) {
   return true;
 }
 
-/// Per-spec supervision state shared between the worker running the spec
-/// and the watchdog thread. progress/abort/active/watchdog_fired are the
-/// cross-thread surface; the trailing fields are watchdog-thread scratch.
+bool stop_requested(const SupervisorOptions& opts) {
+  return opts.stop != nullptr && opts.stop->load();
+}
+
+/// Per-spec supervision state shared between the thread running the
+/// spec and the watchdog and status-sampler threads. Everything but the
+/// trailing watchdog-thread scratch is cross-thread surface.
 struct Slot {
-  std::atomic<std::uint64_t> progress{0};
   std::atomic<bool> abort{false};
   std::atomic<bool> active{false};
   std::atomic<bool> watchdog_fired{false};
-  /// In-process mirrors of the SharedProgress v2 fields: virtual
-  /// sim-time (double bits) and checkpoint sequence of the current
-  /// attempt, read by the status sampler exactly like `progress`.
-  std::atomic<std::uint64_t> sim_time_bits{0};
-  std::atomic<std::uint64_t> ckpt_seq{0};
   /// Process isolation: the spawned worker's pid while one is running
   /// (-1 otherwise) — a hung or stopped worker cannot honor the abort
   /// flag, so the watchdog SIGKILLs it instead.
   std::atomic<long> child_pid{-1};
-  /// Process isolation: the worker's progress fields live in a shared
-  /// file mapping, not in this Slot; non-null while the mapping exists
-  /// (the mapping itself outlives the watchdog thread, so a pointer read
-  /// here is always safe to follow).
-  std::atomic<const std::atomic<std::uint64_t>*> shared{nullptr};
-  std::atomic<const std::atomic<std::uint64_t>*> shared_time{nullptr};
-  std::atomic<const std::atomic<std::uint64_t>*> shared_seq{nullptr};
+  /// In-process progress of the current attempt.
+  std::atomic<std::uint64_t> own_events{0};
+  std::atomic<std::uint64_t> own_time_bits{0};
+  std::atomic<std::uint64_t> own_seq{0};
+  /// Process isolation: the worker's SharedProgress mapping. It lives in
+  /// the Slot, not on a runner stack, so it outlives the watchdog and
+  /// sampler threads that follow `progress` into it.
+  std::optional<SharedProgress> shared;
+  /// The one progress source the watchdog and the status sampler read:
+  /// the own counters in-process, the shared mapping under isolation.
+  /// Set before the spec's first attempt and read only while `active`
+  /// is set, which orders the two.
+  AttemptProgress progress{&own_events, &own_time_bits, &own_seq};
 
   bool seen = false;
   std::uint64_t last_progress = 0;
@@ -186,443 +190,351 @@ struct Slot {
   /// Watchdog-thread scratch: last pid a SIGKILL was traced for, so the
   /// repeated kill of one stubborn child logs a single sigkill event.
   long last_killed_pid = -1;
+
+  void share(SharedProgress mapping) {
+    shared = std::move(mapping);
+    progress = {shared->counter(), shared->sim_time_bits(),
+                shared->checkpoint_seq()};
+  }
+  void arm() {
+    watchdog_fired.store(false);
+    abort.store(false);
+    progress.events->store(0);
+    progress.sim_time_bits->store(0, std::memory_order_relaxed);
+    progress.checkpoint_seq->store(0, std::memory_order_relaxed);
+  }
+  /// An abort that ended the attempt came from the external stop, not
+  /// from the watchdog.
+  [[nodiscard]] bool stopped(const SupervisorOptions& opts) const {
+    return !watchdog_fired.load() && stop_requested(opts);
+  }
 };
 
-/// Observability hooks threaded through the run functions. Both
-/// pointers null when the plane is off — every call site checks, so an
-/// observability-off sweep takes the exact same path it always did.
-struct Obs {
+/// One supervised sweep as its backends see it, and the spec lifecycle
+/// all three drive through it. Each transition makes all of its writes
+/// in one place: the spec's manifest record (terminal transitions
+/// publish it to the streamed manifest), the status board and the
+/// lifecycle trace. The board and trace are null when the observability
+/// plane is off. One spec's calls come from one thread at a time: its
+/// pool thread, or the dispatcher's event loop.
+struct Sweep {
+  const std::vector<RunSpec>& specs;
+  const SupervisorOptions& opts;
+  std::string ckpt;     ///< checkpoint container; empty: no checkpoints
+  std::string workdir;  ///< process isolation: worker request/result files
+  std::vector<SpecRecord>& records;
+  SpecSink publish;  ///< in spec-index order to the manifest and sink
   telemetry::StatusBoard* board = nullptr;
   telemetry::LifecycleTrace* trace = nullptr;
-};
 
-void run_one_supervised(const RunSpec& spec, std::size_t index,
-                        const SupervisorOptions& opts, Slot& slot,
-                        const Obs& obs, SpecRecord& rec) {
-  const std::string ckpt =
-      opts.checkpoint_dir.empty()
-          ? std::string()
-          : checkpoint_container_path(opts.checkpoint_dir);
-
-  // Last good checkpoint, kept in memory: the retry path must not depend
-  // on re-reading an entry a torn write may have damaged.
-  std::vector<std::uint8_t> image;
-  if (opts.resume && !ckpt.empty()) {
-    try {
-      auto entry = snapshot::container_get(ckpt, index);
-      if (entry) {
-        const CheckpointMeta meta = read_checkpoint_meta(*entry);
-        if (meta.config_digest == rec.config_digest &&
-            meta.seed == spec.config.scenario.seed)
-          image = std::move(*entry);
-      }
-    } catch (const std::exception&) {
-      // Missing, torn or foreign checkpoint: start the spec from scratch.
-    }
+  void start(std::size_t i, int attempt) {
+    if (board) board->mark_running(i, attempt);
+    if (trace)
+      trace->begin(i, "attempt", {{"attempt", std::to_string(attempt)}});
   }
 
-  int attempt = 0;
-  for (;;) {
-    if (opts.stop && opts.stop->load()) {
-      rec.status = SpecStatus::kInterrupted;
-      if (rec.detail.empty()) rec.detail = "stopped before start";
-      if (obs.board) obs.board->mark_interrupted(index, rec.detail);
-      if (obs.trace)
-        obs.trace->instant(index, "interrupted", {{"reason", rec.detail}});
-      return;
-    }
-
-    Config cfg = spec.config;
-    // The only knob a retry turns: gates `attempts=`-qualified fault
-    // events (see FaultInjector) without touching event or rng streams.
-    cfg.faults.attempt = attempt;
-    slot.watchdog_fired.store(false);
-    slot.abort.store(false);
-    slot.progress.store(0);
-    slot.sim_time_bits.store(0);
-    slot.ckpt_seq.store(0);
-    if (obs.board) obs.board->mark_running(index, attempt);
-    if (obs.trace)
-      obs.trace->begin(index, "attempt",
-                       {{"attempt", std::to_string(attempt)}});
-
-    std::unique_ptr<World> world;
-    std::string fail;
-    bool drop_checkpoint = false;
-    try {
-      if (!image.empty()) {
-        slot.active.store(true);  // replay is watchdog-monitored too
-        world = resume_world(cfg, spec.kind, image, opts.verify_on_resume,
-                             &slot.abort, &slot.progress);
-      } else {
-        world = std::make_unique<World>(cfg, spec.kind);
-        world->sim().set_abort_flag(&slot.abort);
-        world->sim().set_progress_counter(&slot.progress);
-        slot.active.store(true);
-      }
-
-      const double horizon = cfg.scenario.duration_s;
-      const double step =
-          opts.checkpoint_every_s > 0 ? opts.checkpoint_every_s : horizon;
-      int written = 0;
-      while (world->sim().now() < horizon) {
-        // Boundaries are multiples of the period, so a resumed run hits
-        // the same ones an uninterrupted run would.
-        const double next = std::min(
-            horizon, (std::floor(world->sim().now() / step) + 1.0) * step);
-        world->run_until(next);
-        slot.sim_time_bits.store(double_bits(world->sim().now()),
-                                 std::memory_order_relaxed);
-        if (world->sim().now() >= horizon) break;
-        if (!ckpt.empty()) {
-          image = make_checkpoint(*world);
-          snapshot::container_put(ckpt, index, image);
-          ++written;
-          ++rec.checkpoints;
-          slot.ckpt_seq.store(static_cast<std::uint64_t>(written),
-                              std::memory_order_relaxed);
-          if (opts.stop_after_checkpoints > 0 &&
-              written >= opts.stop_after_checkpoints) {
-            slot.active.store(false);
-            rec.status = SpecStatus::kInterrupted;
-            rec.retries = attempt;
-            rec.detail = "test hook: stopped after " +
-                         std::to_string(written) + " checkpoints";
-            if (obs.board) {
-              obs.board->sync_checkpoints(index, rec.checkpoints);
-              obs.board->mark_interrupted(index, rec.detail);
-            }
-            if (obs.trace) {
-              obs.trace->end(index, "attempt");
-              obs.trace->instant(index, "interrupted",
-                                 {{"reason", rec.detail}});
-            }
-            return;
-          }
-        }
-      }
-
-      slot.active.store(false);
-      slot.sim_time_bits.store(double_bits(world->sim().now()),
-                               std::memory_order_relaxed);
-      rec.result = reduce_world(*world);
-      // The accepted attempt replayed (or ran) the whole trajectory from
-      // event 0, so its registry covers the full run: one merge, no
-      // double-counted retry prefixes.
-      if (world->registry() != nullptr) rec.registry.merge(*world->registry());
-      rec.status = SpecStatus::kCompleted;
-      rec.retries = attempt;
-      rec.detail.clear();
-      if (!ckpt.empty()) {
-        try {
-          snapshot::container_erase(ckpt, index);
-        } catch (const std::exception&) {
-          // The result is already accepted; a failed cleanup of the
-          // spent checkpoint entry must not turn into a retry.
-        }
-      }
-      if (obs.board) {
-        obs.board->update_progress(index, rec.result.events_executed, horizon);
-        obs.board->sync_checkpoints(index, rec.checkpoints);
-        obs.board->mark_done(index);
-        obs.board->absorb_registry(rec.registry);
-      }
-      if (obs.trace) obs.trace->end(index, "attempt");
-      return;
-    } catch (const RunAborted& e) {
-      slot.active.store(false);
-      if (!slot.watchdog_fired.load() && opts.stop && opts.stop->load()) {
-        // External stop: the abort unwound at a clean event boundary, so
-        // flush one final checkpoint and leave the spec resumable.
-        if (world && !ckpt.empty()) {
-          try {
-            snapshot::container_put(ckpt, index, make_checkpoint(*world));
-            ++rec.checkpoints;
-          } catch (const std::exception&) {
-            // Keep whatever checkpoint was already on disk.
-          }
-        }
-        rec.status = SpecStatus::kInterrupted;
-        rec.retries = attempt;
-        rec.detail = "interrupted at t=" + std::to_string(e.at);
-        if (obs.board) {
-          obs.board->sync_checkpoints(index, rec.checkpoints);
-          obs.board->mark_interrupted(index, rec.detail);
-        }
-        if (obs.trace) {
-          obs.trace->end(index, "attempt");
-          obs.trace->instant(index, "interrupted", {{"reason", rec.detail}});
-        }
-        return;
-      }
-      fail = "watchdog: no event progress for " +
-             std::to_string(opts.watchdog_secs) + "s wall (aborted at t=" +
-             std::to_string(e.at) + " after " + std::to_string(e.events) +
-             " events)";
-    } catch (const snapshot::SnapshotMismatch& e) {
-      slot.active.store(false);
-      fail = e.what();
-      drop_checkpoint = true;  // stale or nondeterministic: retry clean
-    } catch (const snapshot::SnapshotError& e) {
-      slot.active.store(false);
-      fail = e.what();
-      drop_checkpoint = true;
-    } catch (const std::exception& e) {
-      // SimulatedCrash, InvariantViolation, bad fault plans, ...
-      slot.active.store(false);
-      fail = e.what();
-    }
-
-    if (drop_checkpoint) image.clear();
-    rec.detail =
-        sanitize("attempt " + std::to_string(attempt) + ": " + fail);
-    ++attempt;
+  /// Accepts attempt `attempt`'s result. It replayed (or ran) the whole
+  /// trajectory from event 0, so its registry covers the full run: one
+  /// merge, no double-counted retry prefixes.
+  void complete(std::size_t i, int attempt, WorkerResult&& w) {
+    SpecRecord& rec = records[i];
+    rec.status = SpecStatus::kCompleted;
     rec.retries = attempt;
-    if (obs.trace) obs.trace->end(index, "attempt");
-    if (attempt > opts.max_retries) {
-      rec.status = SpecStatus::kQuarantined;
-      if (obs.board) obs.board->mark_quarantined(index, rec.detail);
-      if (obs.trace)
-        obs.trace->instant(index, "quarantine",
-                           {{"attempt", std::to_string(attempt - 1)},
-                            {"reason", rec.detail}});
-      return;
+    rec.detail.clear();
+    rec.result = w.result;
+    rec.registry.merge(w.registry);
+    if (trace) trace->end(i, "attempt");
+    publish_completed(i);
+  }
+
+  /// Publishes a completed record: the accepted one above, or on resume
+  /// one from an earlier run, whose spec never re-runs.
+  void publish_completed(std::size_t i) {
+    SpecRecord& rec = records[i];
+    if (board) {
+      board->update_progress(i, rec.result.events_executed,
+                             specs[i].config.scenario.duration_s);
+      board->sync_checkpoints(i, rec.checkpoints);
+      board->mark_done(i);
+      board->absorb_registry(rec.registry);
     }
-    if (obs.board) obs.board->mark_retrying(index, attempt, rec.detail);
-    if (obs.trace)
-      obs.trace->instant(index, "retry",
-                         {{"attempt", std::to_string(attempt - 1)},
-                          {"reason", rec.detail}});
-    const double backoff = std::min(
-        5.0, opts.retry_backoff_s * std::pow(2.0, attempt - 1));
+    publish(i, std::move(rec));
+  }
+
+  /// A failed attempt (or, under dispatch, a spec whose transport kept
+  /// failing): retried as attempt `retries`, or, with give_up, the spec
+  /// is quarantined after `retries` restarts.
+  void retry_or_quarantine(std::size_t i, int retries,
+                           const std::string& detail, bool give_up) {
+    SpecRecord& rec = records[i];
+    rec.retries = retries;
+    rec.detail = detail;
+    if (give_up) rec.status = SpecStatus::kQuarantined;
+    if (board && give_up) board->mark_quarantined(i, detail);
+    if (board && !give_up) board->mark_retrying(i, retries, detail);
+    if (trace) {
+      trace->end(i, "attempt");
+      trace->instant(i, give_up ? "quarantine" : "retry",
+                     {{"attempt", std::to_string(std::max(0, retries - 1))},
+                      {"reason", detail}});
+    }
+    if (give_up) publish(i, std::move(rec));
+  }
+
+  /// External stop. `detail` names where a running attempt stopped; an
+  /// empty one means the spec stopped between attempts and keeps its
+  /// last failure, or reads "stopped before start".
+  void interrupt(std::size_t i, const std::string& detail) {
+    SpecRecord& rec = records[i];
+    rec.status = SpecStatus::kInterrupted;
+    if (!detail.empty())
+      rec.detail = detail;
+    else if (rec.detail.empty())
+      rec.detail = "stopped before start";
+    if (board) {
+      board->sync_checkpoints(i, rec.checkpoints);
+      board->mark_interrupted(i, rec.detail);
+    }
+    if (trace) {
+      if (!detail.empty()) trace->end(i, "attempt");
+      trace->instant(i, "interrupted", {{"reason", rec.detail}});
+    }
+    publish(i, std::move(rec));
+  }
+
+  /// Attempt `attempt` of spec i as every backend describes it to
+  /// run_attempt — directly, or sealed across a process or TCP boundary.
+  [[nodiscard]] WorkerRequest request(std::size_t i, int attempt,
+                                      const std::string& container) const {
+    WorkerRequest req;
+    req.config = specs[i].config;
+    req.kind = specs[i].kind;
+    req.attempt = attempt;
+    req.checkpoint_path = container;
+    req.checkpoint_spec = i;
+    req.checkpoint_every_s = opts.checkpoint_every_s;
+    req.verify_on_resume = opts.verify_on_resume;
+    return req;
+  }
+
+  [[nodiscard]] std::string watchdog_detail(const std::string& what) const {
+    return "watchdog: no event progress for " +
+           std::to_string(opts.watchdog_secs) + "s wall (" + what + ")";
+  }
+};
+
+/// How one local attempt ended: w.ok with a result, or else an external
+/// stop (interrupted) or a failure, with the reason in w.error.
+struct AttemptReport {
+  WorkerResult w;
+  bool interrupted = false;
+};
+
+/// The retry loop both local backends share: `attempt_fn` runs attempt
+/// k, and the loop completes, interrupts, retries with backoff, or
+/// quarantines once the retry budget is spent.
+void supervise_spec(Sweep& sw, std::size_t i, Slot& slot,
+                    const std::function<AttemptReport(int)>& attempt_fn) {
+  for (int attempt = 0;;) {
+    if (stop_requested(sw.opts)) return sw.interrupt(i, "");
+    slot.arm();
+    sw.start(i, attempt);
+    AttemptReport rep = attempt_fn(attempt);
+    sw.records[i].checkpoints += rep.w.checkpoints_written;
+    if (rep.w.ok) {
+      // The spent entry goes; a failed cleanup cannot turn the accepted
+      // result into a retry.
+      erase_checkpoint(sw.ckpt, i);
+      return sw.complete(i, attempt, std::move(rep.w));
+    }
+    if (rep.interrupted) return sw.interrupt(i, rep.w.error);
+    const std::string detail = attempt_failure_detail(attempt, rep.w.error);
+    const bool give_up = ++attempt > sw.opts.max_retries;
+    sw.retry_or_quarantine(i, attempt, detail, give_up);
+    if (give_up) return;
+    const double backoff = retry_backoff_s(sw.opts.retry_backoff_s, attempt);
     if (backoff > 0.0)
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
   }
 }
 
-/// One spec under process isolation: each attempt is a spawned worker
-/// (`worker_exe --worker <request>`) that the parent reaps with waitpid
-/// and judges by exit status + sealed result file. Retry state lives in
-/// the spec's on-disk checkpoint instead of an in-memory image — the
-/// worker adopts a valid checkpoint itself and discards a torn one, so
-/// the parent only decides accept / retry / quarantine.
-void run_one_isolated(const RunSpec& spec, std::size_t index,
-                      const SupervisorOptions& opts,
-                      const std::string& workdir, Slot& slot, const Obs& obs,
-                      std::optional<SharedProgress>& progress_slot,
-                      SpecRecord& rec) {
-  const std::string ckpt =
-      opts.checkpoint_dir.empty()
-          ? std::string()
-          : checkpoint_container_path(opts.checkpoint_dir);
+/// One attempt on this pool thread. `image` is the spec's last good
+/// checkpoint, kept in memory: a retry must not depend on re-reading an
+/// entry a torn write may have damaged.
+AttemptReport attempt_in_process(const Sweep& sw, std::size_t i, int attempt,
+                                 Slot& slot,
+                                 std::vector<std::uint8_t>& image) {
+  AttemptHooks hooks;
+  hooks.image = &image;
+  hooks.keep_image = true;
+  hooks.progress = slot.progress;
+  hooks.abort = &slot.abort;
+  hooks.stop_after_checkpoints = sw.opts.stop_after_checkpoints;
+  AttemptOutput out;
+  AttemptReport rep;
+  bool drop_image = false;
+  slot.active.store(true);  // building and replay are watchdog-monitored
+  try {
+    run_attempt(sw.request(i, attempt, sw.ckpt), hooks, out);
+    if (!out.report.ok) {
+      rep.interrupted = true;
+      out.report.error =
+          "test hook: stopped after " +
+          std::to_string(out.report.checkpoints_written) + " checkpoints";
+    }
+  } catch (const RunAborted& e) {
+    if (slot.stopped(sw.opts)) {
+      // External stop: the abort unwound at a clean event boundary, so
+      // flush one final checkpoint and leave the spec resumable.
+      if (out.world && !sw.ckpt.empty()) {
+        try {
+          snapshot::container_put(sw.ckpt, i, make_checkpoint(*out.world));
+          ++out.report.checkpoints_written;
+        } catch (const std::exception&) {
+          // Keep whatever checkpoint was already on disk.
+        }
+      }
+      rep.interrupted = true;
+      out.report.error = "interrupted at t=" + std::to_string(e.at);
+    } else {
+      out.report.error = sw.watchdog_detail(
+          "aborted at t=" + std::to_string(e.at) + " after " +
+          std::to_string(e.events) + " events");
+    }
+  } catch (const std::exception& e) {
+    // SimulatedCrash, InvariantViolation, bad fault plans, a failed
+    // resume, ...
+    out.report.error = e.what();
+    drop_image = drops_checkpoint(e);
+  }
+  slot.active.store(false);
+  if (drop_image) image.clear();
+  rep.w = std::move(out.report);
+  return rep;
+}
+
+/// One attempt in a spawned worker (`worker_exe --worker <request>`)
+/// that the parent reaps with waitpid and judges by exit status + sealed
+/// result file. The worker resumes from the spec's on-disk checkpoint
+/// itself, so the parent only decides accept / retry / quarantine.
+/// `files` is the spec's worker-file path prefix.
+AttemptReport attempt_isolated(const Sweep& sw, std::size_t i, int attempt,
+                               const std::string& files, Slot& slot) {
+  WorkerRequest req = sw.request(i, attempt, sw.ckpt);
+  req.result_path = files + ".result";
+  req.progress_path = files + ".progress";
+  const std::string req_path = files + ".req";
+
+  AttemptReport rep;
+  std::string fail;
+  std::remove(req.result_path.c_str());
+  try {
+    write_worker_request(req_path, req);
+
+    pid_t pid = -1;
+    const std::string& exe = sw.opts.worker_exe;
+    char* argv[] = {const_cast<char*>(exe.c_str()),
+                    const_cast<char*>("--worker"),
+                    const_cast<char*>(req_path.c_str()), nullptr};
+    const int rc =
+        ::posix_spawn(&pid, exe.c_str(), nullptr, nullptr, argv, environ);
+    if (rc != 0)
+      throw std::runtime_error(std::string("cannot spawn worker ") + exe +
+                               ": " + std::strerror(rc));
+
+    slot.child_pid.store(pid);
+    slot.active.store(true);
+    if (sw.board) sw.board->mark_worker_spawn(i);
+    if (sw.trace)
+      sw.trace->instant(i, "worker_spawn",
+                        {{"pid", std::to_string(pid)},
+                         {"attempt", std::to_string(attempt)}});
+    // An abort that raced the pid publication (external stop between
+    // spawn and store) could not kill the child — honor it here. The
+    // symmetric watchdog-side race (pid read just before a worker exits
+    // and the pid is reused) is accepted: the window is one poll
+    // interval and the stray SIGKILL would need a same-pid recycle
+    // within it.
+    if (slot.abort.load()) ::kill(pid, SIGKILL);
+
+    int status = 0;
+    pid_t waited = -1;
+    do {
+      waited = ::waitpid(pid, &status, 0);
+    } while (waited < 0 && errno == EINTR);
+    slot.active.store(false);
+    slot.child_pid.store(-1);
+    if (waited != pid)
+      throw std::runtime_error(std::string("waitpid: ") +
+                               std::strerror(errno));
+
+    WorkerResult wres;
+    WorkerFileState fstate = WorkerFileState::kMissing;
+    try {
+      wres = read_worker_result(req.result_path);
+      fstate = wres.ok ? WorkerFileState::kOk : WorkerFileState::kError;
+    } catch (const std::exception&) {
+      fstate = std::filesystem::exists(req.result_path)
+                   ? WorkerFileState::kCorrupt
+                   : WorkerFileState::kMissing;
+    }
+    // Checkpoint counts come only from decodable result files; a
+    // SIGKILLed worker's partial writes are simply not counted.
+    if (fstate == WorkerFileState::kOk || fstate == WorkerFileState::kError)
+      rep.w.checkpoints_written = wres.checkpoints_written;
+
+    if (slot.stopped(sw.opts)) {
+      // External stop: the watchdog SIGKILLed the worker, so its last
+      // periodic checkpoint (unlike the in-process path, no final one
+      // can be flushed) keeps the spec resumable.
+      rep.interrupted = true;
+      rep.w.error = "interrupted (worker stopped)";
+      return rep;
+    }
+    const WorkerExitDecision verdict =
+        decode_worker_exit(status, fstate, wres.error);
+    if (verdict.accept) {
+      rep.w = std::move(wres);
+      return rep;
+    }
+    fail = verdict.detail;
+  } catch (const std::exception& e) {
+    slot.active.store(false);
+    slot.child_pid.store(-1);
+    fail = e.what();
+  }
+  // A watchdog SIGKILL shows up to waitpid as a plain signal death; keep
+  // the decoded verdict (signal name and all) inside the watchdog
+  // message instead of overwriting it.
+  if (slot.watchdog_fired.load())
+    fail = sw.watchdog_detail(fail.empty() ? "worker killed" : fail);
+  rep.w.error = fail;
+  return rep;
+}
+
+/// Runs spec i to a terminal record on a local backend.
+void supervise_local(Sweep& sw, std::size_t i, Slot& slot) {
+  if (sw.opts.isolate == IsolationMode::kInProcess) {
+    std::vector<std::uint8_t> image;
+    if (sw.opts.resume)
+      image = load_resume_image(sw.ckpt, i, sw.specs[i].config,
+                                sw.specs[i].kind);
+    return supervise_spec(sw, i, slot, [&](int attempt) {
+      return attempt_in_process(sw, i, attempt, slot, image);
+    });
+  }
   // Workers adopt any valid on-disk checkpoint; a non-resume sweep must
   // therefore clear leftovers the in-process path would simply ignore.
-  if (!ckpt.empty() && !opts.resume) {
-    try {
-      snapshot::container_erase(ckpt, index);
-    } catch (const std::exception&) {
-      // An unreadable container cannot seed the worker either; leave the
-      // damage for --fsck and run the spec from scratch.
-    }
-  }
-
-  const std::string base = workdir + "/spec_" + std::to_string(index);
-  const std::string req_path = base + ".req";
-  const std::string result_path = base + ".result";
-  const std::string progress_path = base + ".progress";
-
-  progress_slot = SharedProgress::create(progress_path);
-  std::atomic<std::uint64_t>* counter = progress_slot->counter();
-  slot.shared.store(counter);
-  slot.shared_time.store(progress_slot->sim_time_bits());
-  slot.shared_seq.store(progress_slot->checkpoint_seq());
-
-  const auto cleanup_worker_files = [&] {
-    slot.shared.store(nullptr);
-    slot.shared_time.store(nullptr);
-    slot.shared_seq.store(nullptr);
-    std::remove(req_path.c_str());
-    std::remove(result_path.c_str());
-    std::remove(progress_path.c_str());
-  };
-
-  int attempt = 0;
-  for (;;) {
-    if (opts.stop && opts.stop->load()) {
-      rec.status = SpecStatus::kInterrupted;
-      if (rec.detail.empty()) rec.detail = "stopped before start";
-      cleanup_worker_files();
-      if (obs.board) obs.board->mark_interrupted(index, rec.detail);
-      if (obs.trace)
-        obs.trace->instant(index, "interrupted", {{"reason", rec.detail}});
-      return;
-    }
-
-    slot.watchdog_fired.store(false);
-    slot.abort.store(false);
-    counter->store(0);
-    progress_slot->sim_time_bits()->store(0, std::memory_order_relaxed);
-    progress_slot->checkpoint_seq()->store(0, std::memory_order_relaxed);
-    if (obs.board) obs.board->mark_running(index, attempt);
-    if (obs.trace)
-      obs.trace->begin(index, "attempt",
-                       {{"attempt", std::to_string(attempt)}});
-
-    WorkerRequest req;
-    req.config = spec.config;
-    req.kind = spec.kind;
-    req.attempt = attempt;
-    req.checkpoint_path = ckpt;
-    req.checkpoint_spec = index;
-    req.checkpoint_every_s = opts.checkpoint_every_s;
-    req.verify_on_resume = opts.verify_on_resume;
-    req.result_path = result_path;
-    req.progress_path = progress_path;
-
-    std::string fail;
-    std::remove(result_path.c_str());
-    try {
-      write_worker_request(req_path, req);
-
-      pid_t pid = -1;
-      std::vector<char*> argv;
-      argv.push_back(const_cast<char*>(opts.worker_exe.c_str()));
-      argv.push_back(const_cast<char*>("--worker"));
-      argv.push_back(const_cast<char*>(req_path.c_str()));
-      argv.push_back(nullptr);
-      const int rc = ::posix_spawn(&pid, opts.worker_exe.c_str(), nullptr,
-                                   nullptr, argv.data(), environ);
-      if (rc != 0)
-        throw std::runtime_error(std::string("cannot spawn worker ") +
-                                 opts.worker_exe + ": " + std::strerror(rc));
-
-      slot.child_pid.store(pid);
-      slot.active.store(true);
-      if (obs.board) obs.board->mark_worker_spawn(index);
-      if (obs.trace)
-        obs.trace->instant(index, "worker_spawn",
-                           {{"pid", std::to_string(pid)},
-                            {"attempt", std::to_string(attempt)}});
-      // An abort that raced the pid publication (external stop between
-      // spawn and store) could not kill the child — honor it here. The
-      // symmetric watchdog-side race (pid read just before a worker exits
-      // and the pid is reused) is accepted: the window is one poll
-      // interval and the stray SIGKILL would need a same-pid recycle
-      // within it.
-      if (slot.abort.load())
-        ::kill(pid, SIGKILL);
-
-      int status = 0;
-      pid_t waited = -1;
-      do {
-        waited = ::waitpid(pid, &status, 0);
-      } while (waited < 0 && errno == EINTR);
-      slot.active.store(false);
-      slot.child_pid.store(-1);
-      if (waited != pid)
-        throw std::runtime_error(std::string("waitpid: ") +
-                                 std::strerror(errno));
-
-      WorkerResult wres;
-      WorkerFileState fstate = WorkerFileState::kMissing;
-      try {
-        wres = read_worker_result(result_path);
-        fstate = wres.ok ? WorkerFileState::kOk : WorkerFileState::kError;
-      } catch (const std::exception&) {
-        fstate = std::filesystem::exists(result_path)
-                     ? WorkerFileState::kCorrupt
-                     : WorkerFileState::kMissing;
-      }
-      // Checkpoint counts come only from decodable result files; a
-      // SIGKILLed worker's partial writes are simply not counted.
-      if (fstate == WorkerFileState::kOk || fstate == WorkerFileState::kError)
-        rec.checkpoints += wres.checkpoints_written;
-
-      if (!slot.watchdog_fired.load() && opts.stop && opts.stop->load()) {
-        // External stop: the watchdog SIGKILLed the worker, so its last
-        // periodic checkpoint (unlike the in-process path, no final one
-        // can be flushed) keeps the spec resumable.
-        rec.status = SpecStatus::kInterrupted;
-        rec.retries = attempt;
-        rec.detail = "interrupted (worker stopped)";
-        cleanup_worker_files();
-        if (obs.board) {
-          obs.board->sync_checkpoints(index, rec.checkpoints);
-          obs.board->mark_interrupted(index, rec.detail);
-        }
-        if (obs.trace) {
-          obs.trace->end(index, "attempt");
-          obs.trace->instant(index, "interrupted", {{"reason", rec.detail}});
-        }
-        return;
-      }
-
-      const WorkerExitDecision verdict =
-          decode_worker_exit(status, fstate, wres.error);
-      if (verdict.accept) {
-        rec.result = wres.result;
-        rec.registry.merge(wres.registry);
-        rec.status = SpecStatus::kCompleted;
-        rec.retries = attempt;
-        rec.detail.clear();
-        if (!ckpt.empty()) {
-          try {
-            snapshot::container_erase(ckpt, index);
-          } catch (const std::exception&) {
-            // Accepted result beats checkpoint cleanup; see above.
-          }
-        }
-        cleanup_worker_files();
-        if (obs.board) {
-          obs.board->update_progress(index, rec.result.events_executed,
-                                     spec.config.scenario.duration_s);
-          obs.board->sync_checkpoints(index, rec.checkpoints);
-          obs.board->mark_done(index);
-          obs.board->absorb_registry(rec.registry);
-        }
-        if (obs.trace) obs.trace->end(index, "attempt");
-        return;
-      }
-      fail = verdict.detail;
-    } catch (const std::exception& e) {
-      slot.active.store(false);
-      slot.child_pid.store(-1);
-      fail = e.what();
-    }
-
-    // A watchdog SIGKILL shows up to waitpid as a plain signal death; keep
-    // the decoded verdict (signal name and all) inside the watchdog
-    // message instead of overwriting it.
-    if (slot.watchdog_fired.load())
-      fail = "watchdog: no event progress for " +
-             std::to_string(opts.watchdog_secs) + "s wall (" +
-             (fail.empty() ? std::string("worker killed") : fail) + ")";
-
-    rec.detail =
-        sanitize("attempt " + std::to_string(attempt) + ": " + fail);
-    ++attempt;
-    rec.retries = attempt;
-    if (obs.trace) obs.trace->end(index, "attempt");
-    if (attempt > opts.max_retries) {
-      rec.status = SpecStatus::kQuarantined;
-      cleanup_worker_files();
-      if (obs.board) obs.board->mark_quarantined(index, rec.detail);
-      if (obs.trace)
-        obs.trace->instant(index, "quarantine",
-                           {{"attempt", std::to_string(attempt - 1)},
-                            {"reason", rec.detail}});
-      return;
-    }
-    if (obs.board) obs.board->mark_retrying(index, attempt, rec.detail);
-    if (obs.trace)
-      obs.trace->instant(index, "retry",
-                         {{"attempt", std::to_string(attempt - 1)},
-                          {"reason", rec.detail}});
-    const double backoff = std::min(
-        5.0, opts.retry_backoff_s * std::pow(2.0, attempt - 1));
-    if (backoff > 0.0)
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-  }
+  // An unreadable container cannot seed the worker either; --fsck
+  // reports the damage.
+  if (!sw.opts.resume) erase_checkpoint(sw.ckpt, i);
+  const std::string files = sw.workdir + "/spec_" + std::to_string(i);
+  slot.share(SharedProgress::create(files + ".progress"));
+  supervise_spec(sw, i, slot, [&](int attempt) {
+    return attempt_isolated(sw, i, attempt, files, slot);
+  });
+  for (const char* ext : {".req", ".result", ".progress"})
+    std::remove((files + ext).c_str());
 }
 
 }  // namespace
@@ -661,23 +573,6 @@ std::string manifest_path(const std::string& checkpoint_dir) {
 
 std::string checkpoint_container_path(const std::string& checkpoint_dir) {
   return checkpoint_dir + "/checkpoints.dcc";
-}
-
-void write_manifest(const std::string& path, const SweepManifest& manifest) {
-  std::ostringstream os;
-  os << "dftmsn-manifest v4\n";
-  os << "specs " << manifest.specs.size() << "\n";
-  for (std::size_t i = 0; i < manifest.specs.size(); ++i)
-    put_spec_block(os, i, manifest.specs[i]);
-  // v4 addition: a trailing whole-file FNV-1a digest line. The manifest
-  // is the one text-format durable file; without this a single flipped
-  // byte in a stored result would resume into silently wrong aggregates.
-  std::string s = os.str();
-  snapshot::StateHash h;
-  h.update(s.data(), s.size());
-  s += "digest " + std::to_string(h.value()) + "\n";
-  snapshot::write_file_atomic(path,
-                              std::vector<std::uint8_t>(s.begin(), s.end()));
 }
 
 namespace {
@@ -852,71 +747,47 @@ bool salvage_manifest_tail(const std::string& path,
   return true;
 }
 
-namespace {
-
-/// Streams a manifest: an atomic, durable all-pending scaffold up front,
-/// then one appended block per terminal spec record, each append ending
-/// with a fresh cumulative digest line and an fsync. The file is
-/// loadable after every append (load_manifest takes the *last* digest
-/// line; later spec records win), and a torn tail truncates back to the
-/// previous digest line (salvage_manifest_tail / --fsck).
-class ManifestWriter {
- public:
-  ManifestWriter(std::string path, std::size_t num_specs,
-                 const std::vector<std::uint64_t>& config_digests)
-      : path_(std::move(path)) {
-    std::ostringstream os;
-    os << "dftmsn-manifest v4\n";
-    os << "specs " << num_specs << "\n";
-    for (std::size_t i = 0; i < num_specs; ++i)
-      os << "spec " << i << " pending retries=0 checkpoints=0 digest="
-         << config_digests[i] << " detail=\n";
-    std::string s = os.str();
-    hash_.update(s.data(), s.size());
-    const std::string dline =
-        "digest " + std::to_string(hash_.value()) + "\n";
-    hash_.update(dline.data(), dline.size());
-    s += dline;
-    // The scaffold lands atomically before any spec runs: a SIGKILL
-    // before the first completion still leaves a loadable manifest next
-    // to whatever checkpoints made it to disk.
-    snapshot::write_file_atomic(
-        path_, std::vector<std::uint8_t>(s.begin(), s.end()));
-    fd_ = snapshot::IoEnv::instance().open_rw(path_);
-    offset_ = s.size();
+ManifestWriter::ManifestWriter(std::string path,
+                               const std::vector<std::uint64_t>& config_digests)
+    : path_(std::move(path)) {
+  std::ostringstream os;
+  os << "dftmsn-manifest v4\n";
+  os << "specs " << config_digests.size() << "\n";
+  for (std::size_t i = 0; i < config_digests.size(); ++i) {
+    SpecRecord pending;
+    pending.config_digest = config_digests[i];
+    put_spec_block(os, i, pending);
   }
-  ManifestWriter(const ManifestWriter&) = delete;
-  ManifestWriter& operator=(const ManifestWriter&) = delete;
-  ~ManifestWriter() {
-    if (fd_ >= 0) ::close(fd_);
-  }
+  const std::string s = seal(os.str());
+  // The scaffold lands atomically before any spec runs: a SIGKILL
+  // before the first completion still leaves a loadable manifest next
+  // to whatever checkpoints made it to disk.
+  snapshot::write_file_atomic(path_,
+                              std::vector<std::uint8_t>(s.begin(), s.end()));
+  fd_ = snapshot::IoEnv::instance().open_rw(path_);
+  offset_ = s.size();
+}
 
-  /// Appends spec i's terminal block + new cumulative digest line as one
-  /// pwrite + fsync: a tear can only ever cost the block being written,
-  /// never reach back past the previous digest line.
-  void append(std::size_t i, const SpecRecord& r) {
-    std::ostringstream os;
-    put_spec_block(os, i, r);
-    std::string s = os.str();
-    hash_.update(s.data(), s.size());
-    const std::string dline =
-        "digest " + std::to_string(hash_.value()) + "\n";
-    hash_.update(dline.data(), dline.size());
-    s += dline;
-    auto& io = snapshot::IoEnv::instance();
-    io.pwrite_all(fd_, path_, s.data(), s.size(), offset_);
-    io.fsync_file(fd_, path_);
-    offset_ += s.size();
-  }
+ManifestWriter::~ManifestWriter() {
+  if (fd_ >= 0) ::close(fd_);
+}
 
- private:
-  std::string path_;
-  int fd_ = -1;
-  std::uint64_t offset_ = 0;
-  snapshot::StateHash hash_;
-};
+void ManifestWriter::append(std::size_t i, const SpecRecord& r) {
+  std::ostringstream os;
+  put_spec_block(os, i, r);
+  const std::string s = seal(os.str());
+  auto& io = snapshot::IoEnv::instance();
+  io.pwrite_all(fd_, path_, s.data(), s.size(), offset_);
+  io.fsync_file(fd_, path_);
+  offset_ += s.size();
+}
 
-}  // namespace
+std::string ManifestWriter::seal(std::string s) {
+  hash_.update(s.data(), s.size());
+  const std::string dline = "digest " + std::to_string(hash_.value()) + "\n";
+  hash_.update(dline.data(), dline.size());
+  return s + dline;
+}
 
 StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
                                const SupervisorOptions& opts,
@@ -926,6 +797,10 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
     throw std::runtime_error(
         "supervisor: dispatch mode runs specs on connected workers; "
         "process isolation is incompatible with --dispatch-port");
+  if (dispatched && opts.checkpoint_every_s > 0.0)
+    throw std::runtime_error(
+        "supervisor: dispatch workers cannot write this host's checkpoint "
+        "container; --checkpoint-every is incompatible with --dispatch-port");
 
   std::vector<std::uint64_t> digests(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i)
@@ -935,8 +810,8 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
   if (use_dir) std::filesystem::create_directories(opts.checkpoint_dir);
 
   // Process isolation needs a directory for worker request/result/
-  // progress files: the checkpoint dir when one is configured, the
-  // caller's scratch dir otherwise, or a unique temp dir we clean up.
+  // progress files: the checkpoint dir when one is configured, or a
+  // unique temp dir we clean up.
   const bool isolated = opts.isolate == IsolationMode::kProcess;
   std::string workdir;
   bool workdir_created = false;
@@ -946,9 +821,6 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
           "supervisor: process isolation needs a worker executable");
     if (use_dir) {
       workdir = opts.checkpoint_dir;
-    } else if (!opts.scratch_dir.empty()) {
-      workdir = opts.scratch_dir;
-      std::filesystem::create_directories(workdir);
     } else {
       workdir = (std::filesystem::temp_directory_path() /
                  ("dftmsn-sup-" + std::to_string(::getpid())))
@@ -958,15 +830,15 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
     }
   }
 
-  // Per-spec seed records. `carried[i]` starts as a fresh record holding
+  // Per-spec records. `records[i]` starts as a fresh record holding
   // only the config digest; a resume fills in carried-over completions
   // (skip[i] = 1), which skip execution and re-emit through the reorder
-  // buffer. Everything else reruns with a fresh retry budget (its
-  // checkpoint, if any, is picked up by the worker).
-  std::vector<SpecRecord> carried(specs.size());
+  // buffer. Everything else reruns with a fresh retry budget (from its
+  // checkpoint, if it has a valid one).
+  std::vector<SpecRecord> records(specs.size());
   std::vector<char> skip(specs.size(), 0);
   for (std::size_t i = 0; i < specs.size(); ++i)
-    carried[i].config_digest = digests[i];
+    records[i].config_digest = digests[i];
   if (opts.resume && use_dir) {
     SweepManifest prev;
     if (load_manifest(manifest_path(opts.checkpoint_dir), &prev)) {
@@ -982,7 +854,7 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
               "(config digest mismatch at spec " + std::to_string(i) +
               ") — refusing to resume");
         if (prev.specs[i].status == SpecStatus::kCompleted) {
-          carried[i] = std::move(prev.specs[i]);
+          records[i] = std::move(prev.specs[i]);
           skip[i] = 1;
         }
       }
@@ -993,8 +865,7 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
   // (a SIGKILL landing before the first completion must still leave a
   // resumable manifest), then one appended block per terminal record.
   std::optional<ManifestWriter> writer;
-  if (use_dir)
-    writer.emplace(manifest_path(opts.checkpoint_dir), specs.size(), digests);
+  if (use_dir) writer.emplace(manifest_path(opts.checkpoint_dir), digests);
 
   // Index-order reorder buffer: terminal records publish in completion
   // order but emit (manifest append + sink) in strict spec-index order,
@@ -1019,11 +890,6 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
   };
 
   std::vector<Slot> slots(specs.size());
-  // Shared-progress mappings live here — not on runner stacks — so the
-  // watchdog can follow a Slot::shared pointer without racing a munmap;
-  // the vector is destroyed only after the watchdog thread has joined.
-  std::vector<std::optional<SharedProgress>> progress_maps(
-      isolated ? specs.size() : 0);
 
   // --- observability plane (purely observational; see supervisor.hpp).
   // Declaration order matters: the server thread reads the board and is
@@ -1047,35 +913,30 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
     for (std::size_t i = 0; i < specs.size(); ++i)
       horizons[i] = specs[i].config.scenario.duration_s;
     board->reset(specs.size(), horizons);
-    // Resume carry-over: completed specs never re-run, so the board
-    // learns about them here or never.
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      const SpecRecord& r = carried[i];
-      if (r.status != SpecStatus::kCompleted) continue;
-      board->update_progress(i, r.result.events_executed,
-                             specs[i].config.scenario.duration_s);
-      board->sync_checkpoints(i, r.checkpoints);
-      board->mark_done(i);
-      board->absorb_registry(r.registry);
-    }
     if (!opts.obs.trace_path.empty())
       ltrace = std::make_unique<telemetry::LifecycleTrace>(opts.obs.trace_path);
-    if (opts.obs.status_port >= 0) {
-      telemetry::StatusServer::Handlers handlers;
-      telemetry::StatusBoard* b = board.get();
-      handlers.status_json = [b] { return b->render_status_json(); };
-      handlers.metrics_text = [b] { return b->render_prometheus(); };
-      handlers.healthy = [b] { return b->healthy(); };
-      server = std::make_unique<telemetry::StatusServer>(
-          opts.obs.status_port, std::move(handlers));
-      // Flushed eagerly: harnesses discover an ephemeral port by polling
-      // this line, and a block-buffered redirect would starve them.
-      if (opts.obs.announce)
-        *opts.obs.announce << "status: listening on 127.0.0.1:"
-                           << server->port() << std::endl;
-    }
   }
-  const Obs obs{board.get(), ltrace.get()};
+  Sweep sw{specs, opts, std::string(), workdir, records, publish,
+           board.get(), ltrace.get()};
+  if (use_dir) sw.ckpt = checkpoint_container_path(opts.checkpoint_dir);
+  // Resume carry-over: completed specs never re-run, so they emit (in
+  // index order) and reach the board here or never.
+  for (std::size_t i = 0; i < specs.size(); ++i)
+    if (skip[i]) sw.publish_completed(i);
+  if (board && opts.obs.status_port >= 0) {
+    telemetry::StatusServer::Handlers handlers;
+    telemetry::StatusBoard* b = board.get();
+    handlers.status_json = [b] { return b->render_status_json(); };
+    handlers.metrics_text = [b] { return b->render_prometheus(); };
+    handlers.healthy = [b] { return b->healthy(); };
+    server = std::make_unique<telemetry::StatusServer>(opts.obs.status_port,
+                                                       std::move(handlers));
+    // Flushed eagerly: harnesses discover an ephemeral port by polling
+    // this line, and a block-buffered redirect would starve them.
+    if (opts.obs.announce)
+      *opts.obs.announce << "status: listening on 127.0.0.1:"
+                         << server->port() << std::endl;
+  }
 
   std::atomic<bool> watchdog_quit{false};
   std::thread watchdog;
@@ -1096,16 +957,15 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
           // An isolated worker cannot observe the abort flag — SIGKILL
           // is the only lever the parent has on a hung or stopped child.
           // Repeated kills of one stubborn pid trace a single sigkill.
-          const auto kill_child = [&s, si, &obs] {
+          const auto kill_child = [&s, si, &sw] {
             const long pid = s.child_pid.load();
             if (pid <= 0) return;
             ::kill(static_cast<pid_t>(pid), SIGKILL);
             if (pid == s.last_killed_pid) return;
             s.last_killed_pid = pid;
-            if (obs.board) obs.board->mark_sigkill(si);
-            if (obs.trace)
-              obs.trace->instant(si, "sigkill",
-                                 {{"pid", std::to_string(pid)}});
+            if (sw.board) sw.board->mark_sigkill(si);
+            if (sw.trace)
+              sw.trace->instant(si, "sigkill", {{"pid", std::to_string(pid)}});
           };
           if (ext) {
             s.abort.store(true);
@@ -1117,9 +977,7 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
             continue;
           }
           if (opts.watchdog_secs <= 0.0) continue;
-          const std::atomic<std::uint64_t>* shared = s.shared.load();
-          const std::uint64_t p =
-              shared != nullptr ? shared->load() : s.progress.load();
+          const std::uint64_t p = s.progress.events->load();
           if (!s.seen || p != s.last_progress) {
             s.seen = true;
             s.last_progress = p;
@@ -1132,9 +990,9 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
             // the runner at each attempt start, so one stall counts once
             // no matter how many polls see it.
             if (!s.watchdog_fired.exchange(true)) {
-              if (obs.board) obs.board->mark_watchdog(si);
-              if (obs.trace)
-                obs.trace->instant(
+              if (sw.board) sw.board->mark_watchdog(si);
+              if (sw.trace)
+                sw.trace->instant(
                     si, "watchdog",
                     {{"stalled_s", std::to_string(opts.watchdog_secs)}});
             }
@@ -1166,20 +1024,14 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
         for (std::size_t i = 0; i < slots.size(); ++i) {
           Slot& s = slots[i];
           if (!s.active.load()) continue;
-          const std::atomic<std::uint64_t>* shared = s.shared.load();
-          const std::atomic<std::uint64_t>* stime = s.shared_time.load();
-          const std::atomic<std::uint64_t>* sseq = s.shared_seq.load();
-          const std::uint64_t events =
-              shared != nullptr ? shared->load() : s.progress.load();
-          const std::uint64_t tbits =
-              stime != nullptr ? stime->load() : s.sim_time_bits.load();
-          const std::uint64_t seq =
-              sseq != nullptr ? sseq->load() : s.ckpt_seq.load();
-          board->update_progress(i, events, bits_double(tbits));
+          const AttemptProgress& p = s.progress;
+          const std::uint64_t seq = p.checkpoint_seq->load();
+          board->update_progress(i, p.events->load(),
+                                 bits_double(p.sim_time_bits->load()));
           if (seq > last_seq[i]) {
             board->mark_checkpoint(i, seq - last_seq[i]);
-            if (obs.trace)
-              obs.trace->instant(i, "checkpoint",
+            if (sw.trace)
+              sw.trace->instant(i, "checkpoint",
                                  {{"seq", std::to_string(seq)}});
           }
           last_seq[i] = seq;  // retries reset the sequence; track down too
@@ -1204,11 +1056,6 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
     });
   }
 
-  // Seed carried-over completions into the reorder buffer: they emit
-  // (in index order) without re-running.
-  for (std::size_t i = 0; i < specs.size(); ++i)
-    if (skip[i]) publish(i, SpecRecord(carried[i]));
-
   const auto join_threads = [&] {
     status_quit.store(true);
     if (status_thread.joinable()) status_thread.join();
@@ -1218,10 +1065,9 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
 
   try {
     if (dispatched) {
-      // The dispatcher event loop drives the same lifecycle the local
-      // loops do, through callbacks that mirror their manifest/board/
-      // trace conventions exactly — a clean dispatched sweep is
-      // byte-identical to an in-process one.
+      // The dispatcher event loop drives the same lifecycle transitions
+      // the local loops do, so a clean dispatched sweep is byte-identical
+      // to an in-process one.
       DispatchPolicy policy;
       policy.max_retries = opts.max_retries;
       policy.retry_backoff_s = opts.retry_backoff_s;
@@ -1231,84 +1077,32 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
 
       DispatchCallbacks cb;
       cb.make_request = [&](std::size_t i, int attempt) {
-        WorkerRequest req;
-        req.config = specs[i].config;
-        req.kind = specs[i].kind;
-        req.attempt = attempt;
-        req.verify_on_resume = opts.verify_on_resume;
-        return encode_worker_request(req);
+        return encode_worker_request(sw.request(i, attempt, std::string()));
       };
-      cb.on_started = [&](std::size_t i, int attempt) {
-        if (obs.board) obs.board->mark_running(i, attempt);
-        if (obs.trace)
-          obs.trace->begin(i, "attempt",
-                           {{"attempt", std::to_string(attempt)}});
+      cb.on_started = [&](std::size_t i, int a) { sw.start(i, a); };
+      cb.on_completed = [&](std::size_t i, int a, WorkerResult&& w) {
+        sw.complete(i, a, std::move(w));
       };
-      cb.on_completed = [&](std::size_t i, int attempt, WorkerResult&& w) {
-        SpecRecord rec = std::move(carried[i]);
-        rec.status = SpecStatus::kCompleted;
-        rec.retries = attempt;
-        rec.detail.clear();
-        rec.result = w.result;
-        rec.registry.merge(w.registry);
-        if (obs.board) {
-          obs.board->update_progress(i, rec.result.events_executed,
-                                     specs[i].config.scenario.duration_s);
-          obs.board->sync_checkpoints(i, rec.checkpoints);
-          obs.board->mark_done(i);
-          obs.board->absorb_registry(rec.registry);
-        }
-        if (obs.trace) obs.trace->end(i, "attempt");
-        publish(i, std::move(rec));
-      };
-      cb.on_quarantined = [&](std::size_t i, int attempt,
+      cb.on_quarantined = [&](std::size_t i, int retries,
                               const std::string& detail) {
-        SpecRecord rec = std::move(carried[i]);
-        rec.status = SpecStatus::kQuarantined;
-        rec.retries = attempt;
-        rec.detail = detail;
-        if (obs.board) obs.board->mark_quarantined(i, detail);
-        if (obs.trace) {
-          obs.trace->end(i, "attempt");
-          obs.trace->instant(
-              i, "quarantine",
-              {{"attempt", std::to_string(std::max(0, attempt - 1))},
-               {"reason", detail}});
-        }
-        publish(i, std::move(rec));
+        sw.retry_or_quarantine(i, retries, detail, true);
       };
       cb.on_interrupted = [&](std::size_t i, const std::string& detail) {
-        SpecRecord rec = std::move(carried[i]);
-        rec.status = SpecStatus::kInterrupted;
-        rec.detail = detail.empty() ? "stopped before start" : detail;
-        if (obs.board) obs.board->mark_interrupted(i, rec.detail);
-        if (obs.trace) {
-          if (!detail.empty()) obs.trace->end(i, "attempt");
-          obs.trace->instant(i, "interrupted", {{"reason", rec.detail}});
-        }
-        publish(i, std::move(rec));
+        sw.interrupt(i, detail);
       };
-      cb.on_retrying = [&](std::size_t i, int attempt,
+      cb.on_retrying = [&](std::size_t i, int next,
                            const std::string& detail) {
-        carried[i].retries = attempt;
-        carried[i].detail = detail;
-        if (obs.board) obs.board->mark_retrying(i, attempt, detail);
-        if (obs.trace) {
-          obs.trace->end(i, "attempt");
-          obs.trace->instant(i, "retry",
-                             {{"attempt", std::to_string(attempt - 1)},
-                              {"reason", detail}});
-        }
+        sw.retry_or_quarantine(i, next, detail, false);
       };
       cb.on_requeued = [&](std::size_t i, int count,
                            const std::string& reason) {
-        if (obs.trace)
-          obs.trace->instant(i, "requeue",
-                             {{"count", std::to_string(count)},
-                              {"reason", sanitize(reason)}});
+        if (sw.trace)
+          sw.trace->instant(i, "requeue",
+                            {{"count", std::to_string(count)},
+                             {"reason", sanitize(reason)}});
       };
       cb.on_progress = [&](std::size_t i, std::uint64_t events, double t) {
-        if (obs.board) obs.board->update_progress(i, events, t);
+        if (sw.board) sw.board->update_progress(i, events, t);
       };
       cb.announce = [&](const std::string& line) {
         if (opts.obs.announce) *opts.obs.announce << line << std::endl;
@@ -1317,14 +1111,7 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
                          board.get(), std::move(cb));
     } else {
       parallel_for(specs.size(), resolve_jobs(opts.jobs), [&](std::size_t i) {
-        if (skip[i]) return;  // resumed as done, already seeded
-        SpecRecord rec = carried[i];
-        if (isolated)
-          run_one_isolated(specs[i], i, opts, workdir, slots[i], obs,
-                           progress_maps[i], rec);
-        else
-          run_one_supervised(specs[i], i, opts, slots[i], obs, rec);
-        publish(i, std::move(rec));
+        if (!skip[i]) supervise_local(sw, i, slots[i]);
       });
     }
   } catch (...) {

@@ -17,6 +17,8 @@
 //   - SimulatedCrash / InvariantViolation / any std::exception out of a
 //     replication -> retry from the last good checkpoint (or from
 //     scratch), at most max_retries times, then quarantine.
+//   - a resume that fails verification -> a failed attempt; the
+//     checkpoint is dropped and the retry starts from scratch.
 //   - watchdog trip (no executed-event progress for watchdog_secs of
 //     wall time) -> cooperative abort via the simulator's abort flag
 //     (reaches even a mid-event `hang` fault), then same retry path.
@@ -24,12 +26,17 @@
 //     at the clean event boundary the abort left us on, mark the
 //     replication interrupted, and keep the manifest resumable.
 //
-// With IsolationMode::kProcess the same taxonomy applies across a
-// process boundary: each attempt runs in a spawned worker process, a
-// worker that dies by signal (segfault, abort, OOM kill) or reports an
-// error is retried from the spec's on-disk checkpoint, and a hung or
-// stopped worker is SIGKILLed by the watchdog instead of cooperatively
-// aborted (see worker_protocol.hpp for the parent/worker wire format).
+// Three backends run the attempts: pool threads (in-process), spawned
+// worker processes (IsolationMode::kProcess) and the TCP dispatch queue
+// (dispatch.hpp). All of them execute an attempt through run_attempt
+// (worker.hpp) and record its outcome through the same lifecycle
+// transitions (start, complete, retry-or-quarantine, interrupt), each of
+// which makes that transition's manifest, status-board and trace writes;
+// the two local backends also share one retry loop. Under process
+// isolation a worker that dies by signal (segfault, abort, OOM kill) or
+// reports an error is retried from the spec's on-disk checkpoint, and a
+// hung or stopped worker is SIGKILLed by the watchdog instead of
+// cooperatively aborted (see worker_protocol.hpp for the wire format).
 #pragma once
 
 #include <atomic>
@@ -41,6 +48,7 @@
 
 #include "experiment/dispatch.hpp"
 #include "experiment/runner.hpp"
+#include "snapshot/snapshot_io.hpp"
 #include "telemetry/registry.hpp"
 
 namespace dftmsn {
@@ -118,16 +126,14 @@ struct SupervisorOptions {
   /// worker is always the very binary that built the sweep). Required
   /// when isolate == kProcess.
   std::string worker_exe;
-  /// Directory for worker request/result/progress files when no
-  /// checkpoint_dir is configured. Empty: a unique directory under the
-  /// system temp dir, removed when the sweep ends.
-  std::string scratch_dir;
   /// Live status/health/trace plane (purely observational).
   ObservabilityOptions obs;
   /// Lease-based TCP dispatch (experiment/dispatch.hpp). When enabled,
   /// specs run on connected pull-mode workers instead of pool threads;
-  /// incompatible with IsolationMode::kProcess. Clean dispatched sweeps
-  /// produce manifests and reports byte-identical to in-process runs.
+  /// incompatible with IsolationMode::kProcess and with periodic
+  /// checkpoints (a remote worker cannot write this host's container).
+  /// Clean dispatched sweeps produce manifests and reports
+  /// byte-identical to in-process runs.
   DispatchOptions dispatch;
 };
 
@@ -224,15 +230,44 @@ std::string manifest_path(const std::string& checkpoint_dir);
 /// ("DFTMSNCC", see snapshot/ckpt_container.hpp); spec index = entry key.
 std::string checkpoint_container_path(const std::string& checkpoint_dir);
 
-/// Writes the manifest as a line-oriented text file (atomic rewrite).
-/// RunResult doubles are stored as hexfloats so a resumed sweep reports
-/// bit-identical aggregates.
-void write_manifest(const std::string& path, const SweepManifest& manifest);
+/// The one manifest writer ("dftmsn-manifest v4", streamed layout).
+/// The constructor lands an all-pending scaffold atomically and durably
+/// before any spec runs; append() adds one spec's terminal block plus a
+/// fresh cumulative digest line in one pwrite + fsync. RunResult doubles
+/// are stored as IEEE-754 bit patterns, so a resumed sweep reports
+/// bit-identical aggregates. The file is loadable after every append
+/// (load_manifest takes the *last* digest line; later spec records
+/// win), and a torn tail truncates back to the previous digest line
+/// (salvage_manifest_tail / --fsck).
+class ManifestWriter {
+ public:
+  /// One pending record per spec, carrying its config digest.
+  ManifestWriter(std::string path,
+                 const std::vector<std::uint64_t>& config_digests);
+  ManifestWriter(const ManifestWriter&) = delete;
+  ManifestWriter& operator=(const ManifestWriter&) = delete;
+  ~ManifestWriter();
 
-/// Loads a manifest written by write_manifest or streamed by
-/// run_specs_streamed (interior cumulative digest lines are skipped;
-/// later records for a spec win). Returns false if the file does not
-/// exist; throws std::runtime_error if it exists but is malformed.
+  /// Appends spec i's block + new cumulative digest line: a tear can
+  /// only ever cost the block being written, never reach back past the
+  /// previous digest line.
+  void append(std::size_t i, const SpecRecord& r);
+
+ private:
+  /// Hashes `s` into the running digest and returns it with the new
+  /// cumulative digest line appended (also hashed: later lines cover it).
+  std::string seal(std::string s);
+
+  std::string path_;
+  int fd_ = -1;
+  std::uint64_t offset_ = 0;
+  snapshot::StateHash hash_;
+};
+
+/// Loads a manifest written by ManifestWriter (interior cumulative
+/// digest lines are skipped; later records for a spec win). Returns
+/// false if the file does not exist; throws std::runtime_error if it
+/// exists but is malformed.
 bool load_manifest(const std::string& path, SweepManifest* out);
 
 /// Salvages a streamed manifest with a torn tail: truncates the file

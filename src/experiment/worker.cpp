@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -27,27 +28,110 @@
 #include "snapshot/ckpt_container.hpp"
 
 namespace dftmsn {
+
+void run_attempt(const WorkerRequest& req, const AttemptHooks& hooks,
+                 AttemptOutput& out) {
+  Config cfg = req.config;
+  // The only knob a retry turns: gates `attempts=`-qualified fault
+  // events (see FaultInjector) without touching event or rng streams.
+  cfg.faults.attempt = req.attempt;
+  const AttemptProgress& p = hooks.progress;
+  if (hooks.image != nullptr && !hooks.image->empty()) {
+    out.world = resume_world(cfg, req.kind, *hooks.image,
+                             req.verify_on_resume, hooks.abort, p.events);
+    if (!hooks.keep_image) std::vector<std::uint8_t>().swap(*hooks.image);
+  } else {
+    out.world = std::make_unique<World>(cfg, req.kind);
+    out.world->sim().set_abort_flag(hooks.abort);
+    out.world->sim().set_progress_counter(p.events);
+  }
+  World& world = *out.world;
+  // The sim-time and checkpoint-seq fields feed the status plane only:
+  // slice-boundary granularity is plenty for a human progress view, and
+  // the stores are free on the sim hot path.
+  const auto publish_time = [&] {
+    if (p.sim_time_bits != nullptr)
+      p.sim_time_bits->store(std::bit_cast<std::uint64_t>(world.sim().now()),
+                             std::memory_order_relaxed);
+  };
+
+  const double horizon = cfg.scenario.duration_s;
+  const bool periodic =
+      !req.checkpoint_path.empty() && req.checkpoint_every_s > 0.0;
+  const double step = periodic          ? req.checkpoint_every_s
+                      : horizon > 0.0 ? horizon / 16.0
+                                      : 1.0;
+  std::uint64_t& written = out.report.checkpoints_written;
+  publish_time();
+  while (world.sim().now() < horizon) {
+    world.run_until(std::min(
+        horizon, (std::floor(world.sim().now() / step) + 1.0) * step));
+    publish_time();
+    if (!periodic || world.sim().now() >= horizon) continue;
+    std::vector<std::uint8_t> scratch;
+    std::vector<std::uint8_t>& image =
+        hooks.keep_image ? *hooks.image : scratch;
+    image = make_checkpoint(world);
+    snapshot::container_put(req.checkpoint_path, req.checkpoint_spec, image);
+    ++written;
+    if (p.checkpoint_seq != nullptr)
+      p.checkpoint_seq->store(written, std::memory_order_relaxed);
+    if (hooks.stop_after_checkpoints > 0 &&
+        written >= static_cast<std::uint64_t>(hooks.stop_after_checkpoints))
+      return;
+  }
+  out.report.result = reduce_world(world);
+  if (world.registry() != nullptr) out.report.registry.merge(*world.registry());
+  out.report.ok = true;
+}
+
+bool drops_checkpoint(const std::exception& e) {
+  return dynamic_cast<const snapshot::SnapshotError*>(&e) != nullptr ||
+         dynamic_cast<const snapshot::SnapshotMismatch*>(&e) != nullptr;
+}
+
+void erase_checkpoint(const std::string& container, std::uint64_t spec) {
+  if (container.empty()) return;
+  try {
+    snapshot::container_erase(container, spec);
+  } catch (const std::exception&) {
+  }
+}
+
+std::vector<std::uint8_t> load_resume_image(const std::string& container,
+                                            std::uint64_t spec,
+                                            const Config& config,
+                                            ProtocolKind kind) {
+  if (container.empty()) return {};
+  try {
+    auto entry = snapshot::container_get(container, spec);
+    if (entry) {
+      const CheckpointMeta meta = read_checkpoint_meta(*entry);
+      if (meta.config_digest == config_digest(config, kind) &&
+          meta.seed == config.scenario.seed)
+        return std::move(*entry);
+    }
+  } catch (const std::exception&) {
+    // Unreadable container or entry: the spec starts from scratch.
+  }
+  return {};
+}
+
 namespace {
 
-/// Best-effort: a worker that cannot even write its result file still
-/// exits with the right code; the parent then diagnoses from that alone.
-void try_write_result(const std::string& path, const WorkerResult& res) {
-  if (path.empty()) return;
+/// Reports a failed attempt through the result file, best-effort: a
+/// worker that cannot even write it still exits with the right code, and
+/// the parent then diagnoses from that alone.
+int fail_result(const std::string& path, WorkerResult res,
+                const std::string& error, int exit_code) {
+  res.ok = false;
+  res.error = error;
   try {
     write_worker_result(path, res);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "worker: cannot write result %s: %s\n", path.c_str(),
                  e.what());
   }
-}
-
-int fail_result(const std::string& result_path, const std::string& error,
-                std::uint64_t checkpoints_written, int exit_code) {
-  WorkerResult res;
-  res.ok = false;
-  res.error = error;
-  res.checkpoints_written = checkpoints_written;
-  try_write_result(result_path, res);
   return exit_code;
 }
 
@@ -65,102 +149,36 @@ int run_worker(const std::string& request_path) {
     return kWorkerExitBadRequest;
   }
 
-  std::uint64_t written = 0;
+  AttemptOutput out;
   try {
-    Config cfg = req.config;
-    cfg.faults.attempt = req.attempt;
-
     std::optional<SharedProgress> progress;
-    if (!req.progress_path.empty())
+    AttemptHooks hooks;
+    if (!req.progress_path.empty()) {
       progress = SharedProgress::open(req.progress_path);
-    std::atomic<std::uint64_t>* counter =
-        progress ? progress->counter() : nullptr;
-
-    // Resume from the spec's container entry when one is present and
-    // belongs to this (config, protocol, seed). Unlike the in-process
-    // loop — which keeps the last good image in memory across retries —
-    // a fresh process can only trust the file: a torn tail simply hides
-    // the entry (container_get recovers what precedes it), and a stale
-    // or mismatched entry is erased so the fresh start owns the slot.
-    std::unique_ptr<World> world;
-    if (!req.checkpoint_path.empty()) {
-      std::vector<std::uint8_t> image;
-      try {
-        auto entry = snapshot::container_get(req.checkpoint_path,
-                                             req.checkpoint_spec);
-        if (entry) image = std::move(*entry);
-      } catch (const std::exception&) {
-        image.clear();  // unreadable container: attempt from scratch
-      }
-      if (!image.empty()) {
-        try {
-          const CheckpointMeta meta = read_checkpoint_meta(image);
-          if (meta.config_digest == config_digest(req.config, req.kind) &&
-              meta.seed == cfg.scenario.seed)
-            world = resume_world(cfg, req.kind, image, req.verify_on_resume,
-                                 nullptr, counter);
-        } catch (const snapshot::SnapshotMismatch&) {
-          world.reset();
-        } catch (const snapshot::SnapshotError&) {
-          world.reset();
-        }
-        // Foreign digest falls through with world == nullptr too: either
-        // way the entry cannot seed this run, so drop it before the
-        // fresh start overwrites it at the next boundary.
-        if (!world) {
-          try {
-            snapshot::container_erase(req.checkpoint_path,
-                                      req.checkpoint_spec);
-          } catch (const std::exception&) {
-            // Best effort; the next container_put supersedes it anyway.
-          }
-        }
-      }
+      hooks.progress = {progress->counter(), progress->sim_time_bits(),
+                        progress->checkpoint_seq()};
     }
-    if (!world) {
-      world = std::make_unique<World>(cfg, req.kind);
-      if (counter != nullptr) world->sim().set_progress_counter(counter);
+    // A fresh process has no in-memory image: the container entry the
+    // previous attempt left is the one to resume (a torn tail simply
+    // hides it — container_get recovers what precedes the tear).
+    std::vector<std::uint8_t> image = load_resume_image(
+        req.checkpoint_path, req.checkpoint_spec, req.config, req.kind);
+    hooks.image = &image;
+    try {
+      run_attempt(req, hooks, out);
+    } catch (const std::exception& e) {
+      if (drops_checkpoint(e))
+        erase_checkpoint(req.checkpoint_path, req.checkpoint_spec);
+      throw;
     }
-
-    // Same boundary arithmetic as the in-process supervisor: checkpoints
-    // land on multiples of the period regardless of where a resume
-    // started, so both modes write the same count for a clean run.
-    const double horizon = cfg.scenario.duration_s;
-    const double step =
-        req.checkpoint_every_s > 0 ? req.checkpoint_every_s : horizon;
-    if (progress) progress->store_sim_time(world->sim().now());
-    while (world->sim().now() < horizon) {
-      const double next = std::min(
-          horizon, (std::floor(world->sim().now() / step) + 1.0) * step);
-      world->run_until(next);
-      // The sim-time and checkpoint-seq fields feed the parent's status
-      // plane only — chunk-boundary granularity is plenty for a human
-      // progress view, and the stores are free on the sim hot path.
-      if (progress) progress->store_sim_time(world->sim().now());
-      if (world->sim().now() >= horizon) break;
-      if (!req.checkpoint_path.empty()) {
-        snapshot::container_put(req.checkpoint_path, req.checkpoint_spec,
-                                make_checkpoint(*world));
-        ++written;
-        if (progress)
-          progress->checkpoint_seq()->store(written,
-                                            std::memory_order_relaxed);
-      }
-    }
-
-    WorkerResult res;
-    res.ok = true;
-    res.result = reduce_world(*world);
-    res.checkpoints_written = written;
-    if (world->registry() != nullptr) res.registry.merge(*world->registry());
-    write_worker_result(req.result_path, res);
+    write_worker_result(req.result_path, out.report);
     return kWorkerExitOk;
   } catch (const InvariantViolation& e) {
-    return fail_result(req.result_path, e.what(), written,
+    return fail_result(req.result_path, std::move(out.report), e.what(),
                        kWorkerExitInvariant);
   } catch (const std::exception& e) {
-    // SimulatedCrash, snapshot errors out of checkpoint writes, ...
-    return fail_result(req.result_path, e.what(), written,
+    // SimulatedCrash, snapshot errors out of resume or checkpoint writes
+    return fail_result(req.result_path, std::move(out.report), e.what(),
                        kWorkerExitRunFailed);
   }
 }
@@ -173,23 +191,20 @@ namespace {
 /// the local modes byte for byte. A heartbeat thread streams the spec's
 /// live event counter back for the whole run; a frozen counter (SIGSTOP,
 /// wedged sim) stops extending the lease even though frames keep (or
-/// stop) flowing.
+/// stop) flowing. A remote worker cannot reach the parent's checkpoint
+/// container, so a leased spec always runs from scratch, uncheckpointed.
 WorkerResult run_leased_spec(
     const GrantItem& item, std::uint64_t lease_id, double lease_secs,
     const std::function<void(const std::vector<std::uint8_t>&)>& send) {
-  WorkerResult res;
   WorkerRequest req;
   try {
     req = decode_worker_request(item.request);
     req.config.validate();
   } catch (const std::exception& e) {
-    res.ok = false;
+    WorkerResult res;
     res.error = std::string("bad request image: ") + e.what();
     return res;
   }
-
-  Config cfg = req.config;
-  cfg.faults.attempt = req.attempt;
 
   std::atomic<std::uint64_t> events{0};
   std::atomic<std::uint64_t> time_bits{0};
@@ -211,32 +226,21 @@ WorkerResult run_leased_spec(
     }
   });
 
+  req.checkpoint_path.clear();
+  AttemptHooks hooks;
+  hooks.progress = {&events, &time_bits, nullptr};
+  AttemptOutput out;
   try {
-    World world(cfg, req.kind);
-    world.sim().set_progress_counter(&events);
-    const double horizon = cfg.scenario.duration_s;
-    const double step = horizon > 0.0 ? horizon / 16.0 : 1.0;
-    while (world.sim().now() < horizon) {
-      const double next = std::min(
-          horizon, (std::floor(world.sim().now() / step) + 1.0) * step);
-      world.run_until(next);
-      std::uint64_t bits = 0;
-      const double t = world.sim().now();
-      std::memcpy(&bits, &t, sizeof(bits));
-      time_bits.store(bits);
-    }
-    res.ok = true;
-    res.result = reduce_world(world);
-    if (world.registry() != nullptr) res.registry.merge(*world.registry());
+    run_attempt(req, hooks, out);
   } catch (const std::exception& e) {
     // InvariantViolation, SimulatedCrash, ... — a *reported* failure,
     // which consumes the spec's sim retry budget dispatcher-side.
-    res.ok = false;
-    res.error = e.what();
+    out.report.ok = false;
+    out.report.error = e.what();
   }
   hb_stop.store(true);
   heartbeat.join();
-  return res;
+  return std::move(out.report);
 }
 
 }  // namespace

@@ -65,19 +65,4 @@ void SpatialIndex::collect_in_disc(const Vec2& center, double range,
   std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
 }
 
-bool SpatialIndex::any_in_disc(const Vec2& center, double range,
-                               NodeId exclude) const {
-  const double r2 = range * range;
-  const int x0 = axis_cell(center.x - range), x1 = axis_cell(center.x + range);
-  const int y0 = axis_cell(center.y - range), y1 = axis_cell(center.y + range);
-  for (int y = y0; y <= y1; ++y) {
-    for (int x = x0; x <= x1; ++x) {
-      for (const NodeId id : cells_[static_cast<std::size_t>(y) * per_side_ + x]) {
-        if (id != exclude && distance2(center, pos_[id]) <= r2) return true;
-      }
-    }
-  }
-  return false;
-}
-
 }  // namespace dftmsn

@@ -43,11 +43,6 @@ class SpatialIndex {
   void collect_in_disc(const Vec2& center, double range, NodeId exclude,
                        std::vector<NodeId>& out) const;
 
-  /// True if any node other than `exclude` lies within `range` of
-  /// `center`. Early-exits on the first hit.
-  [[nodiscard]] bool any_in_disc(const Vec2& center, double range,
-                                 NodeId exclude) const;
-
  private:
   [[nodiscard]] int axis_cell(double v) const;
   [[nodiscard]] std::int32_t cell_of(const Vec2& p) const;

@@ -87,17 +87,6 @@ std::vector<NodeId> MobilityManager::neighbors_of_scan(NodeId id,
   return out;
 }
 
-bool MobilityManager::any_neighbor_within(NodeId id, double range) const {
-  if (index_) return index_->any_in_disc(index_->position(id), range, id);
-  const Vec2 p = position(id);
-  const double r2 = range * range;
-  for (NodeId other = 0; other < models_.size(); ++other) {
-    if (other == id) continue;
-    if (distance2(p, models_[other]->position()) <= r2) return true;
-  }
-  return false;
-}
-
 std::vector<NodeId> MobilityManager::nodes_in_range(const Vec2& p,
                                                     double range) const {
   std::vector<NodeId> out;

@@ -58,10 +58,6 @@ class MobilityManager {
   [[nodiscard]] std::vector<NodeId> neighbors_of_scan(NodeId id,
                                                       double range) const;
 
-  /// True if any other node is within `range` of `id`; early-exits on
-  /// the first hit (carrier-sense fast path).
-  [[nodiscard]] bool any_neighbor_within(NodeId id, double range) const;
-
   /// All nodes within `range` of an arbitrary point.
   [[nodiscard]] std::vector<NodeId> nodes_in_range(const Vec2& p,
                                                    double range) const;

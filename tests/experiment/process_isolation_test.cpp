@@ -20,6 +20,9 @@
 
 #include "experiment/runner.hpp"
 #include "experiment/supervisor.hpp"
+#include "experiment/world.hpp"
+#include "snapshot/checkpoint.hpp"
+#include "snapshot/ckpt_container.hpp"
 
 namespace dftmsn {
 namespace {
@@ -190,6 +193,40 @@ TEST(ProcessIsolation, WorksWithoutACheckpointDir) {
   ASSERT_EQ(m.completed(), 1);
   EXPECT_EQ(m.specs[0].retries, 1);
   EXPECT_EQ(m.specs[0].checkpoints, 0u);
+}
+
+TEST(ProcessIsolation, FailedResumeVerificationRetriesInBothModes) {
+  // A checkpoint that replay cannot reproduce — a sensor failed by hand
+  // after t=100 — fails the resuming attempt's verification. Both modes
+  // count that as a failed attempt, drop the entry and finish from
+  // scratch on the retry, so their manifests are byte-identical.
+  RunSpec spec;
+  spec.config = small_config(217);
+
+  auto manifest_of = [&](const std::string& dirname, IsolationMode mode) {
+    TempDir dir(dirname);
+    std::filesystem::create_directories(dir.path);
+    {
+      World w(spec.config, spec.kind);
+      w.run_until(100.0);
+      w.sensors()[0]->fail(false);
+      snapshot::container_put(checkpoint_container_path(dir.path), 0,
+                              make_checkpoint(w));
+    }
+    SupervisorOptions opts = base_options(dir.path, mode);
+    opts.resume = true;
+    const SweepManifest m = run_specs_supervised({spec}, opts);
+    EXPECT_EQ(m.completed(), 1);
+    EXPECT_EQ(m.specs[0].retries, 1);
+    EXPECT_EQ(m.specs[0].result.events_executed,
+              run_once(spec.config, spec.kind).events_executed);
+    return file_bytes(manifest_path(dir.path));
+  };
+
+  const std::string in_proc =
+      manifest_of("iso_stale_in.tmp", IsolationMode::kInProcess);
+  ASSERT_FALSE(in_proc.empty());
+  EXPECT_EQ(in_proc, manifest_of("iso_stale_pr.tmp", IsolationMode::kProcess));
 }
 
 TEST(ProcessIsolation, ProcessModeWithoutWorkerExeThrows) {

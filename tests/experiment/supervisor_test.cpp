@@ -204,7 +204,13 @@ TEST(Supervisor, ManifestRoundTripsThroughDisk) {
   m.specs[2].detail = "interrupted at t=450.0";
 
   const std::string path = manifest_path(dir.path);
-  write_manifest(path, m);
+  {
+    ManifestWriter writer(path, {m.specs[0].config_digest,
+                                 m.specs[1].config_digest,
+                                 m.specs[2].config_digest});
+    for (std::size_t i = 0; i < m.specs.size(); ++i)
+      writer.append(i, m.specs[i]);
+  }
   SweepManifest loaded;
   ASSERT_TRUE(load_manifest(path, &loaded));
   ASSERT_EQ(loaded.specs.size(), 3u);
