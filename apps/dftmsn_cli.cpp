@@ -26,18 +26,16 @@
 //   9  a scripted I/O crash-point (DFTMSN_IO_FAULTS / --io-faults)
 //      terminated the process — test harnesses only
 //
-// Worker mode (`--worker FILE`, spawned by a supervising parent under
-// --isolate=process; not for interactive use) reuses 0/2/3 with the same
-// meanings and adds:
-//   6  the replication failed (structured error in the result file)
-// A worker killed by a signal (segv/abort fault plans, OOM, the parent's
-// watchdog) has no exit code; the parent decodes the wait status instead.
-//
-// Dispatch worker mode (`--connect HOST:PORT`, docs/distributed_sweeps.md)
-// exits 0 when the dispatcher reports the sweep done (or hangs up
-// cleanly) and 2 on a connect or wire-protocol failure. Simulation
-// failures are *reported* to the dispatcher inside result frames, never
-// through this process's exit code.
+// The two worker modes run one frame loop (docs/distributed_sweeps.md):
+// `--connect HOST:PORT` pulls specs from a dispatcher over TCP, and
+// `--worker FD` (spawned by a supervising parent under --isolate=process;
+// not for interactive use) is served one attempt over the socket it
+// inherits as fd FD. Both exit 0 when the other end reports the sweep
+// done (or hangs up cleanly) and 2 on a connect or wire-protocol
+// failure. Simulation failures are *reported* inside result frames,
+// never through this process's exit code. A worker killed by a signal
+// (segv/abort fault plans, OOM, the parent's watchdog) has no exit code;
+// the parent decodes the wait status instead.
 #include <limits.h>
 #include <unistd.h>
 
@@ -56,7 +54,6 @@
 #include "scenario/scenario.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/supervisor.hpp"
-#include "experiment/worker.hpp"
 #include "experiment/world.hpp"
 #include "snapshot/io_env.hpp"
 #include "snapshot/snapshot_io.hpp"
@@ -123,8 +120,9 @@ int usage(int code) {
       "                    replication attempt in a spawned worker process\n"
       "                    so the sweep survives segfaults/aborts; clean\n"
       "                    runs are bit-identical to in-process\n"
-      "  --worker FILE     internal: run one replication attempt from a\n"
-      "                    sealed request file (spawned by --isolate=process)\n"
+      "  --worker FD       internal: run the replication attempt the parent\n"
+      "                    serves over inherited socket FD (spawned by\n"
+      "                    --isolate=process)\n"
       "distributed dispatch (see docs/distributed_sweeps.md):\n"
       "  --dispatch-port P serve the sweep as a lease-based work queue on\n"
       "                    TCP port P (0 = ephemeral port, announced as\n"
@@ -152,10 +150,10 @@ int usage(int code) {
       "                    and exit (reader side; add --watch to refresh\n"
       "                    every second until the sweep finishes)\n"
       "durability (see docs/durability.md):\n"
-      "  --fsck DIR        scan DIR's container/manifest/worker/trace\n"
-      "                    files, repair torn tails and drop stale or\n"
-      "                    corrupt entries; exit 0 clean, 7 repaired,\n"
-      "                    2 unrepairable\n"
+      "  --fsck DIR        scan DIR's container/manifest/trace files,\n"
+      "                    repair torn tails and drop stale or corrupt\n"
+      "                    entries; exit 0 clean, 7 repaired, 2\n"
+      "                    unrepairable\n"
       "  --io-faults SPEC  deterministic I/O fault schedule, e.g.\n"
       "                    \"enospc@write#3\" or \"crash@rename#1\"\n"
       "                    (also read from $DFTMSN_IO_FAULTS; crash\n"
@@ -261,14 +259,21 @@ int main(int argc, char** argv) {
     };
     if (arg == "--help" || arg == "-h") return usage(0);
     if (arg == "--worker") {
-      // Worker mode short-circuits everything else: the request file is
-      // the whole contract (see worker_protocol.hpp).
+      // Worker mode short-circuits everything else: the frames the
+      // parent serves over the inherited socket are the whole contract
+      // (experiment/dispatch.hpp).
+      const std::string fd = next();
+      if (fd.empty() || fd.size() > 6 ||
+          fd.find_first_not_of("0123456789") != std::string::npos) {
+        std::cerr << "--worker needs a file descriptor number\n";
+        return 2;
+      }
       snapshot::IoEnv::instance().set_scope(snapshot::IoScope::kWorker);
-      return run_worker(next());
+      return serve_worker(std::atoi(fd.c_str()));
     }
     if (arg == "--connect") {
-      // Dispatch-worker mode short-circuits the same way: the wire
-      // protocol (experiment/dispatch.hpp) is the whole contract.
+      // Dispatch-worker mode short-circuits the same way, into the same
+      // frame loop over a TCP connection.
       const std::string hostport = next();
       const std::size_t colon = hostport.rfind(':');
       const int port = colon == std::string::npos

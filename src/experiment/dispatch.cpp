@@ -6,10 +6,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <vector>
 
@@ -152,15 +150,15 @@ std::vector<std::uint8_t> encode_result_frame(
   return frame_payload(FrameType::kResult, w);
 }
 
-std::vector<std::uint8_t> encode_heartbeat_frame(std::uint64_t lease_id,
-                                                 std::uint64_t spec,
-                                                 std::uint64_t events,
-                                                 std::uint64_t sim_time_bits) {
+std::vector<std::uint8_t> encode_heartbeat_frame(
+    std::uint64_t lease_id, std::uint64_t spec, std::uint64_t events,
+    std::uint64_t sim_time_bits, std::uint64_t checkpoint_seq) {
   snapshot::Writer w;
   w.u64(lease_id);
   w.u64(spec);
   w.u64(events);
   w.u64(sim_time_bits);
+  w.u64(checkpoint_seq);
   return frame_payload(FrameType::kHeartbeat, w);
 }
 
@@ -231,6 +229,7 @@ std::size_t try_extract_frame(const std::uint8_t* data, std::size_t len,
         f.spec = r.u64();
         f.events = r.u64();
         f.sim_time_bits = r.u64();
+        f.checkpoint_seq = r.u64();
         break;
     }
     if (!r.at_end())
@@ -241,6 +240,27 @@ std::size_t try_extract_frame(const std::uint8_t* data, std::size_t len,
   }
   *out = std::move(f);
   return total;
+}
+
+bool read_frame(int fd, std::vector<std::uint8_t>& buf,
+                const std::string& context, WireFrame* out) {
+  std::uint8_t chunk[16 * 1024];
+  for (;;) {
+    const std::size_t used =
+        try_extract_frame(buf.data(), buf.size(), context, out);
+    if (used > 0) {
+      buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(used));
+      return true;
+    }
+    const ssize_t got = net::recv_some(fd, chunk, sizeof(chunk));
+    if (got == 0) {
+      if (buf.empty()) return false;
+      throw SnapshotError(context + ": stream ended mid-frame");
+    }
+    if (got < 0)
+      throw net::NetError(std::string("recv: ") + std::strerror(errno));
+    buf.insert(buf.end(), chunk, chunk + got);
+  }
 }
 
 namespace {
@@ -255,7 +275,6 @@ struct ConnState {
 
 struct LeaseState {
   int fd = -1;
-  std::string worker;
   std::vector<std::size_t> outstanding;
   double deadline = 0.0;
   std::map<std::size_t, std::uint64_t> last_events;
@@ -296,19 +315,6 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
   std::map<std::uint64_t, LeaseState> leases;
   std::uint64_t next_lease_id = 1;
   telemetry::DispatchCounters counters;
-
-  const auto journal_write = [&] {
-    if (policy.lease_journal_path.empty()) return;
-    std::ofstream out(policy.lease_journal_path,
-                      std::ios::binary | std::ios::trunc);
-    out << "dftmsn-dispatch-leases v1\n";
-    for (const auto& [id, lease] : leases) {
-      out << "lease " << id << " worker=" << lease.worker << " specs=";
-      for (std::size_t k = 0; k < lease.outstanding.size(); ++k)
-        out << (k ? "," : "") << lease.outstanding[k];
-      out << "\n";
-    }
-  };
 
   const auto push_board = [&] {
     if (board != nullptr) board->dispatch_update(counters);
@@ -361,7 +367,6 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
     leases.erase(it);
     if (requeue)
       for (const std::size_t i : outstanding) requeue_spec(i, why);
-    journal_write();
   };
 
   const auto drop_conn = [&](int fd, const std::string& why) {
@@ -409,7 +414,6 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
       // resurrected or raced worker's duplicate is discarded by spec id.
       ++counters.duplicates_discarded;
       detach_spec(f.spec);
-      journal_write();
       return;
     }
     // Validate before any state change: a torn sealed image inside a
@@ -446,7 +450,6 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
         if (cb.on_retrying) cb.on_retrying(f.spec, next_attempt, detail);
       }
     }
-    journal_write();
     update_worker_row(fd, true);
   };
 
@@ -487,7 +490,6 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
     const std::uint64_t id = next_lease_id++;
     LeaseState lease;
     lease.fd = fd;
-    lease.worker = conns.count(fd) ? conns[fd].name : std::string();
     lease.outstanding = granted;
     lease.deadline = now_s() + opts.lease_secs;
     for (const std::size_t i : granted) {
@@ -498,7 +500,6 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
     }
     leases[id] = std::move(lease);
     ++counters.batches_granted;
-    journal_write();
     if (send_frame(fd, encode_grant_frame(id, opts.lease_secs, items)))
       update_worker_row(fd, true);
   };
@@ -658,8 +659,6 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
   leases.clear();
   push_board();
   ::close(lfd);
-  if (!policy.lease_journal_path.empty())
-    std::remove(policy.lease_journal_path.c_str());
 }
 
 }  // namespace dftmsn

@@ -1,12 +1,14 @@
-// Lease-based TCP work queue for supervised sweeps (worker protocol
-// v3's framed wire variant).
+// Lease-based work queue for supervised sweeps, and the framed wire
+// (worker protocol v4) every worker speaks.
 //
 // The dispatcher runs inside the sweep parent (`--dispatch-port`): it
 // listens on a TCP socket (loopback by default, bindable for LAN) and
 // hands out batches of replication specs under time-bounded leases.
 // Pull-mode workers (`dftmsn_cli --connect HOST:PORT`) request work,
-// heartbeat while running, and stream back results. Every message is
-// one *frame*:
+// heartbeat while running, and stream back results. The `--worker FD`
+// child of process isolation runs the same frame loop (serve_worker)
+// over an inherited socketpair, against a parent that grants it exactly
+// one spec. Every message is one *frame*:
 //
 //   offset 0  u32   magic "DFW3" (0x33574644 little-endian)
 //   offset 4  u8    frame type (FrameType)
@@ -15,11 +17,10 @@
 //   offset 9  payload — snapshot::Writer-encoded fields per type
 //   tail      u64   FNV-1a digest of everything before it
 //
-// Spec configs and results cross the wire as the *same sealed container
-// images* the file-based worker protocol uses (encode_worker_request /
-// encode_worker_result), so both transports validate identical bytes.
-// A torn, truncated or tampered frame throws and drops the connection —
-// never a crash, never a silently wrong accept.
+// Spec configs and results cross the wire as sealed container images
+// (encode_worker_request / encode_worker_result), so the payloads carry
+// their own digests. A torn, truncated or tampered frame throws and
+// drops the connection — never a crash, never a silently wrong accept.
 //
 // Failure semantics (docs/distributed_sweeps.md):
 //  - crash / hang / partition: the worker stops heartbeating (or its
@@ -66,8 +67,9 @@ inline constexpr std::size_t kMaxDispatchPayload = 64u << 20;
 
 /// Version a worker announces in its hello frame; must match the
 /// dispatcher's build (the sealed payload images carry the worker
-/// protocol version gate on top of this).
-inline constexpr std::uint32_t kDispatchWireVersion = 3;
+/// protocol version gate on top of this). v4: heartbeats carry the
+/// checkpoint sequence.
+inline constexpr std::uint32_t kDispatchWireVersion = 4;
 
 enum class FrameType : std::uint8_t {
   kHello = 1,      ///< worker -> dispatcher: version + worker name
@@ -104,6 +106,7 @@ struct WireFrame {
   std::vector<std::uint8_t> result;  ///< sealed encode_worker_result image
   std::uint64_t events = 0;
   std::uint64_t sim_time_bits = 0;
+  std::uint64_t checkpoint_seq = 0;  ///< kHeartbeat: checkpoints so far
 };
 
 std::vector<std::uint8_t> encode_hello_frame(const std::string& worker_name);
@@ -116,10 +119,9 @@ std::vector<std::uint8_t> encode_result_frame(std::uint64_t lease_id,
                                               std::uint64_t spec,
                                               std::int64_t attempt,
                                               const std::vector<std::uint8_t>& sealed_result);
-std::vector<std::uint8_t> encode_heartbeat_frame(std::uint64_t lease_id,
-                                                 std::uint64_t spec,
-                                                 std::uint64_t events,
-                                                 std::uint64_t sim_time_bits);
+std::vector<std::uint8_t> encode_heartbeat_frame(
+    std::uint64_t lease_id, std::uint64_t spec, std::uint64_t events,
+    std::uint64_t sim_time_bits, std::uint64_t checkpoint_seq = 0);
 
 /// Tries to extract one complete frame from the front of `data`.
 /// Returns 0 when more bytes are needed, else the number of bytes
@@ -128,6 +130,13 @@ std::vector<std::uint8_t> encode_heartbeat_frame(std::uint64_t lease_id,
 /// payload); the caller must drop the connection.
 std::size_t try_extract_frame(const std::uint8_t* data, std::size_t len,
                               const std::string& context, WireFrame* out);
+
+/// Blocks until one whole frame arrived on stream socket `fd`; `buf`
+/// carries bytes past it to the next call. Returns false on EOF at a
+/// frame boundary. Throws snapshot::SnapshotError on a damaged frame or
+/// an EOF mid-frame, net::NetError on a socket error.
+bool read_frame(int fd, std::vector<std::uint8_t>& buf,
+                const std::string& context, WireFrame* out);
 
 /// The retry rule every backend applies. After failure k of a spec
 /// (k = 1, 2, ...) the retry waits min(5, base_s * 2^(k-1)) wall
@@ -149,8 +158,6 @@ struct DispatchPolicy {
   /// truly cursed spec still terminates.
   int max_transport_requeues = 32;
   const std::atomic<bool>* stop = nullptr;
-  /// Advisory lease journal (fsck classifies leftovers); empty: none.
-  std::string lease_journal_path;
 };
 
 /// Terminal + lifecycle callbacks out of the dispatcher event loop. All
@@ -193,12 +200,16 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
                         const DispatchPolicy& policy,
                         telemetry::StatusBoard* board, DispatchCallbacks cb);
 
-/// Worker side: connect to a dispatcher and pull spec batches until it
-/// reports the sweep done. Runs specs in-process (no checkpointing —
-/// fault recovery is the dispatcher's lease machinery), heartbeats
-/// while running, and streams sealed results back. Returns a process
-/// exit code: 0 clean, kWorkerExitBadRequest on connect/protocol
+/// Worker side: pulls spec batches over the connected stream socket
+/// `fd` until the other end reports the sweep done or hangs up, then
+/// closes it. Runs each spec through run_attempt (worker.hpp),
+/// heartbeating while it runs, and streams sealed results back. Returns
+/// a process exit code: 0 clean, kWorkerExitBadRequest on a wire
 /// failure.
+int serve_worker(int fd);
+
+/// `--connect`: serve_worker on a TCP connection to a dispatcher.
+/// Returns kWorkerExitBadRequest when the connection fails.
 int run_dispatch_worker(const std::string& host, int port);
 
 }  // namespace dftmsn

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "experiment/supervisor.hpp"
-#include "experiment/worker_protocol.hpp"
 #include "mobility/motion_trace.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "snapshot/ckpt_container.hpp"
@@ -27,7 +26,7 @@ void note(FsckReport& rep, std::ostream& log, const std::string& path,
   log << "\n";
 }
 
-/// Deletes a file whose loss is safe (worker/trace/tmp artifacts are all
+/// Deletes a file whose loss is safe (trace/tmp artifacts are all
 /// regenerated); reports whether the unlink took.
 bool drop(const std::string& path) {
   return std::remove(path.c_str()) == 0;
@@ -152,9 +151,8 @@ FsckReport run_fsck(const std::string& dir, std::ostream& log) {
   check_container(checkpoint_container_path(dir), &manifest, have_manifest,
                   rep, log);
 
-  // Worker request/result files, shared-progress files, motion traces
-  // and rename-staging leftovers. All are regenerated by the next run,
-  // so "repair" for a bad one is deletion.
+  // Motion traces and rename-staging leftovers. Both are regenerated by
+  // the next run, so "repair" for a bad one is deletion.
   std::vector<fs::path> paths;
   for (const auto& entry : fs::directory_iterator(dir, ec))
     if (entry.is_regular_file()) paths.push_back(entry.path());
@@ -167,42 +165,6 @@ FsckReport run_fsck(const std::string& dir, std::ostream& log) {
     if (ext == ".tmp") {
       cls = "leftover";
       detail = "interrupted atomic-write staging file";
-    } else if (ext == ".leases") {
-      // Advisory dispatch lease journal (experiment/dispatch.hpp); the
-      // dispatcher removes it on a clean return, so one on disk means
-      // the parent died with leases outstanding. Leases are re-granted
-      // from the manifest, never from this file.
-      cls = "leftover";
-      detail = "dispatch lease journal from an unclean shutdown";
-    } else if (ext == ".req") {
-      try {
-        read_worker_request(path);
-        note(rep, log, path, "valid", "");
-        continue;
-      } catch (const std::exception& e) {
-        cls = "corrupt";
-        detail = e.what();
-      }
-    } else if (ext == ".result") {
-      try {
-        read_worker_result(path);
-        note(rep, log, path, "valid", "");
-        continue;
-      } catch (const std::exception& e) {
-        cls = "corrupt";
-        detail = e.what();
-      }
-    } else if (ext == ".progress") {
-      // A v2 block is 32 bytes with a "DPRG" magic + version header;
-      // anything else (including a stale 8-byte v1 counter) is damage.
-      try {
-        SharedProgress::open(path);
-        note(rep, log, path, "valid", "");
-        continue;
-      } catch (const std::exception& e) {
-        cls = "corrupt";
-        detail = e.what();
-      }
     } else if (ext == ".trc") {
       try {
         load_motion_trace(path);

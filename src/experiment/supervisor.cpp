@@ -2,6 +2,7 @@
 
 #include <signal.h>
 #include <spawn.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -26,6 +27,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/net_util.hpp"
 #include "common/thread_pool.hpp"
 #include "experiment/dispatch.hpp"
 #include "experiment/worker.hpp"
@@ -170,19 +172,12 @@ struct Slot {
   /// (-1 otherwise) — a hung or stopped worker cannot honor the abort
   /// flag, so the watchdog SIGKILLs it instead.
   std::atomic<long> child_pid{-1};
-  /// In-process progress of the current attempt.
-  std::atomic<std::uint64_t> own_events{0};
-  std::atomic<std::uint64_t> own_time_bits{0};
-  std::atomic<std::uint64_t> own_seq{0};
-  /// Process isolation: the worker's SharedProgress mapping. It lives in
-  /// the Slot, not on a runner stack, so it outlives the watchdog and
-  /// sampler threads that follow `progress` into it.
-  std::optional<SharedProgress> shared;
-  /// The one progress source the watchdog and the status sampler read:
-  /// the own counters in-process, the shared mapping under isolation.
-  /// Set before the spec's first attempt and read only while `active`
-  /// is set, which orders the two.
-  AttemptProgress progress{&own_events, &own_time_bits, &own_seq};
+  /// The current attempt's progress, which the watchdog and the status
+  /// sampler read: stored by the simulator in-process, and from the
+  /// worker's heartbeats under isolation.
+  std::atomic<std::uint64_t> events{0};
+  std::atomic<std::uint64_t> time_bits{0};
+  std::atomic<std::uint64_t> seq{0};
 
   bool seen = false;
   std::uint64_t last_progress = 0;
@@ -191,17 +186,12 @@ struct Slot {
   /// repeated kill of one stubborn child logs a single sigkill event.
   long last_killed_pid = -1;
 
-  void share(SharedProgress mapping) {
-    shared = std::move(mapping);
-    progress = {shared->counter(), shared->sim_time_bits(),
-                shared->checkpoint_seq()};
-  }
   void arm() {
     watchdog_fired.store(false);
     abort.store(false);
-    progress.events->store(0);
-    progress.sim_time_bits->store(0, std::memory_order_relaxed);
-    progress.checkpoint_seq->store(0, std::memory_order_relaxed);
+    events.store(0);
+    time_bits.store(0, std::memory_order_relaxed);
+    seq.store(0, std::memory_order_relaxed);
   }
   /// An abort that ended the attempt came from the external stop, not
   /// from the watchdog.
@@ -220,8 +210,7 @@ struct Slot {
 struct Sweep {
   const std::vector<RunSpec>& specs;
   const SupervisorOptions& opts;
-  std::string ckpt;     ///< checkpoint container; empty: no checkpoints
-  std::string workdir;  ///< process isolation: worker request/result files
+  std::string ckpt;  ///< checkpoint container; empty: no checkpoints
   std::vector<SpecRecord>& records;
   SpecSink publish;  ///< in spec-index order to the manifest and sink
   telemetry::StatusBoard* board = nullptr;
@@ -313,7 +302,6 @@ struct Sweep {
     req.checkpoint_path = container;
     req.checkpoint_spec = i;
     req.checkpoint_every_s = opts.checkpoint_every_s;
-    req.verify_on_resume = opts.verify_on_resume;
     return req;
   }
 
@@ -367,7 +355,7 @@ AttemptReport attempt_in_process(const Sweep& sw, std::size_t i, int attempt,
   AttemptHooks hooks;
   hooks.image = &image;
   hooks.keep_image = true;
-  hooks.progress = slot.progress;
+  hooks.progress = {&slot.events, &slot.time_bits, &slot.seq};
   hooks.abort = &slot.abort;
   hooks.stop_after_checkpoints = sw.opts.stop_after_checkpoints;
   AttemptOutput out;
@@ -413,34 +401,113 @@ AttemptReport attempt_in_process(const Sweep& sw, std::size_t i, int attempt,
   return rep;
 }
 
-/// One attempt in a spawned worker (`worker_exe --worker <request>`)
-/// that the parent reaps with waitpid and judges by exit status + sealed
-/// result file. The worker resumes from the spec's on-disk checkpoint
-/// itself, so the parent only decides accept / retry / quarantine.
-/// `files` is the spec's worker-file path prefix.
+/// Closes a descriptor when it goes out of scope.
+struct Fd {
+  explicit Fd(int f) : fd(f) {}
+  Fd(const Fd&) = delete;
+  Fd& operator=(const Fd&) = delete;
+  ~Fd() { ::close(fd); }
+  int fd;
+};
+
+/// Spawns `exe --worker 3` with `child_end` as the child's fd 3. The
+/// socketpair is close-on-exec, so a sibling spawned concurrently never
+/// inherits this worker's ends and delays its EOF.
+pid_t spawn_worker(const std::string& exe, int child_end) {
+  posix_spawn_file_actions_t actions;
+  ::posix_spawn_file_actions_init(&actions);
+  char* argv[] = {const_cast<char*>(exe.c_str()),
+                  const_cast<char*>("--worker"), const_cast<char*>("3"),
+                  nullptr};
+  pid_t pid = -1;
+  int rc = ::posix_spawn_file_actions_adddup2(&actions, child_end, 3);
+  if (rc == 0)
+    rc = ::posix_spawn(&pid, exe.c_str(), &actions, nullptr, argv, environ);
+  ::posix_spawn_file_actions_destroy(&actions);
+  if (rc != 0)
+    throw std::runtime_error(std::string("cannot spawn worker ") + exe +
+                             ": " + std::strerror(rc));
+  return pid;
+}
+
+/// Serves a spawned worker the dispatch frames of a one-spec queue over
+/// `fd`: a grant of `request` for its first request, nowork(done) for
+/// the next, so a healthy worker exits 0. Reads to EOF, filing each
+/// heartbeat into the slot's progress atomics and the result into *res.
+WorkerStream serve_grant(int fd, std::size_t spec, int attempt,
+                         const std::vector<std::uint8_t>& request,
+                         double lease_secs, Slot& slot, WorkerResult* res) {
+  const std::string ctx = "worker stream of spec " + std::to_string(spec);
+  const auto send = [fd](const std::vector<std::uint8_t>& bytes) {
+    net::write_full(fd, bytes.data(), bytes.size());
+  };
+  WorkerStream got = WorkerStream::kNothing;
+  std::vector<std::uint8_t> buf;
+  bool said_hello = false;
+  bool granted = false;
+  try {
+    for (WireFrame f; read_frame(fd, buf, ctx, &f);) {
+      if (!said_hello) {
+        if (f.type != FrameType::kHello || f.version != kDispatchWireVersion)
+          throw snapshot::SnapshotError(
+              ctx + ": expected hello (wire version " +
+              std::to_string(kDispatchWireVersion) + ")");
+        said_hello = true;
+      } else if (f.type == FrameType::kRequest) {
+        send(granted ? encode_nowork_frame(true)
+                     : encode_grant_frame(1, lease_secs,
+                                          {{spec, attempt, request}}));
+        granted = true;
+      } else if (f.type == FrameType::kHeartbeat) {
+        slot.events.store(f.events);
+        slot.time_bits.store(f.sim_time_bits, std::memory_order_relaxed);
+        slot.seq.store(f.checkpoint_seq, std::memory_order_relaxed);
+      } else if (f.type == FrameType::kResult) {
+        *res = decode_worker_result(f.result);
+        got = res->ok ? WorkerStream::kOk : WorkerStream::kError;
+      } else {
+        throw snapshot::SnapshotError(ctx + ": unexpected frame");
+      }
+    }
+  } catch (const net::NetError&) {
+    // The worker died mid-conversation (EPIPE, ECONNRESET): as EOF.
+  } catch (const std::exception&) {
+    // A damaged frame or result image. Hang up; a worker still running
+    // fails its next send.
+    got = WorkerStream::kCorrupt;
+    ::shutdown(fd, SHUT_RDWR);
+  }
+  return got;
+}
+
+/// One attempt in a spawned worker (`worker_exe --worker 3`), served
+/// over a socketpair (serve_grant) and judged by its result frame plus
+/// waitpid. The worker resumes from the spec's container entry itself,
+/// so the parent only decides accept / retry / quarantine.
 AttemptReport attempt_isolated(const Sweep& sw, std::size_t i, int attempt,
-                               const std::string& files, Slot& slot) {
-  WorkerRequest req = sw.request(i, attempt, sw.ckpt);
-  req.result_path = files + ".result";
-  req.progress_path = files + ".progress";
-  const std::string req_path = files + ".req";
+                               Slot& slot) {
+  const std::vector<std::uint8_t> request =
+      encode_worker_request(sw.request(i, attempt, sw.ckpt));
+  // The lease sets the worker's heartbeat period (lease/4), so a
+  // watchdog window sees at least four progress readings.
+  const double lease =
+      sw.opts.watchdog_secs > 0.0 ? sw.opts.watchdog_secs : 1.0;
 
   AttemptReport rep;
   std::string fail;
-  std::remove(req.result_path.c_str());
   try {
-    write_worker_request(req_path, req);
-
+    int sv[2] = {-1, -1};
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0)
+      throw std::runtime_error(std::string("socketpair: ") +
+                               std::strerror(errno));
+    const Fd ours(sv[0]);
     pid_t pid = -1;
-    const std::string& exe = sw.opts.worker_exe;
-    char* argv[] = {const_cast<char*>(exe.c_str()),
-                    const_cast<char*>("--worker"),
-                    const_cast<char*>(req_path.c_str()), nullptr};
-    const int rc =
-        ::posix_spawn(&pid, exe.c_str(), nullptr, nullptr, argv, environ);
-    if (rc != 0)
-      throw std::runtime_error(std::string("cannot spawn worker ") + exe +
-                               ": " + std::strerror(rc));
+    {
+      // With our copy of the child's end closed, EOF means the worker
+      // (and anything it forked) is gone.
+      const Fd theirs(sv[1]);
+      pid = spawn_worker(sw.opts.worker_exe, theirs.fd);
+    }
 
     slot.child_pid.store(pid);
     slot.active.store(true);
@@ -457,6 +524,9 @@ AttemptReport attempt_isolated(const Sweep& sw, std::size_t i, int attempt,
     // within it.
     if (slot.abort.load()) ::kill(pid, SIGKILL);
 
+    WorkerResult wres;
+    const WorkerStream got =
+        serve_grant(ours.fd, i, attempt, request, lease, slot, &wres);
     int status = 0;
     pid_t waited = -1;
     do {
@@ -468,21 +538,9 @@ AttemptReport attempt_isolated(const Sweep& sw, std::size_t i, int attempt,
       throw std::runtime_error(std::string("waitpid: ") +
                                std::strerror(errno));
 
-    WorkerResult wres;
-    WorkerFileState fstate = WorkerFileState::kMissing;
-    try {
-      wres = read_worker_result(req.result_path);
-      fstate = wres.ok ? WorkerFileState::kOk : WorkerFileState::kError;
-    } catch (const std::exception&) {
-      fstate = std::filesystem::exists(req.result_path)
-                   ? WorkerFileState::kCorrupt
-                   : WorkerFileState::kMissing;
-    }
-    // Checkpoint counts come only from decodable result files; a
-    // SIGKILLed worker's partial writes are simply not counted.
-    if (fstate == WorkerFileState::kOk || fstate == WorkerFileState::kError)
-      rep.w.checkpoints_written = wres.checkpoints_written;
-
+    // Checkpoint counts come only from a decoded result; a SIGKILLed
+    // worker's partial writes are simply not counted.
+    rep.w.checkpoints_written = wres.checkpoints_written;
     if (slot.stopped(sw.opts)) {
       // External stop: the watchdog SIGKILLed the worker, so its last
       // periodic checkpoint (unlike the in-process path, no final one
@@ -492,7 +550,7 @@ AttemptReport attempt_isolated(const Sweep& sw, std::size_t i, int attempt,
       return rep;
     }
     const WorkerExitDecision verdict =
-        decode_worker_exit(status, fstate, wres.error);
+        decode_worker_exit(status, got, wres.error);
     if (verdict.accept) {
       rep.w = std::move(wres);
       return rep;
@@ -528,13 +586,9 @@ void supervise_local(Sweep& sw, std::size_t i, Slot& slot) {
   // An unreadable container cannot seed the worker either; --fsck
   // reports the damage.
   if (!sw.opts.resume) erase_checkpoint(sw.ckpt, i);
-  const std::string files = sw.workdir + "/spec_" + std::to_string(i);
-  slot.share(SharedProgress::create(files + ".progress"));
   supervise_spec(sw, i, slot, [&](int attempt) {
-    return attempt_isolated(sw, i, attempt, files, slot);
+    return attempt_isolated(sw, i, attempt, slot);
   });
-  for (const char* ext : {".req", ".result", ".progress"})
-    std::remove((files + ext).c_str());
 }
 
 }  // namespace
@@ -809,26 +863,9 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
   const bool use_dir = !opts.checkpoint_dir.empty();
   if (use_dir) std::filesystem::create_directories(opts.checkpoint_dir);
 
-  // Process isolation needs a directory for worker request/result/
-  // progress files: the checkpoint dir when one is configured, or a
-  // unique temp dir we clean up.
-  const bool isolated = opts.isolate == IsolationMode::kProcess;
-  std::string workdir;
-  bool workdir_created = false;
-  if (isolated) {
-    if (opts.worker_exe.empty())
-      throw std::runtime_error(
-          "supervisor: process isolation needs a worker executable");
-    if (use_dir) {
-      workdir = opts.checkpoint_dir;
-    } else {
-      workdir = (std::filesystem::temp_directory_path() /
-                 ("dftmsn-sup-" + std::to_string(::getpid())))
-                    .string();
-      workdir_created = !std::filesystem::exists(workdir);
-      std::filesystem::create_directories(workdir);
-    }
-  }
+  if (opts.isolate == IsolationMode::kProcess && opts.worker_exe.empty())
+    throw std::runtime_error(
+        "supervisor: process isolation needs a worker executable");
 
   // Per-spec records. `records[i]` starts as a fresh record holding
   // only the config digest; a resume fills in carried-over completions
@@ -916,8 +953,8 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
     if (!opts.obs.trace_path.empty())
       ltrace = std::make_unique<telemetry::LifecycleTrace>(opts.obs.trace_path);
   }
-  Sweep sw{specs, opts, std::string(), workdir, records, publish,
-           board.get(), ltrace.get()};
+  Sweep sw{specs, opts, std::string(), records, publish, board.get(),
+           ltrace.get()};
   if (use_dir) sw.ckpt = checkpoint_container_path(opts.checkpoint_dir);
   // Resume carry-over: completed specs never re-run, so they emit (in
   // index order) and reach the board here or never.
@@ -948,7 +985,8 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
         opts.watchdog_secs > 0.0
             ? std::clamp(opts.watchdog_secs / 4.0, 0.01, 0.25)
             : 0.05);
-    watchdog = std::thread([&] {
+    // `poll` by value: it goes out of scope while the thread runs.
+    watchdog = std::thread([&, poll] {
       while (!watchdog_quit.load()) {
         const bool ext = opts.stop && opts.stop->load();
         const Clock::time_point now = Clock::now();
@@ -977,7 +1015,7 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
             continue;
           }
           if (opts.watchdog_secs <= 0.0) continue;
-          const std::uint64_t p = s.progress.events->load();
+          const std::uint64_t p = s.events.load();
           if (!s.seen || p != s.last_progress) {
             s.seen = true;
             s.last_progress = p;
@@ -1024,10 +1062,9 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
         for (std::size_t i = 0; i < slots.size(); ++i) {
           Slot& s = slots[i];
           if (!s.active.load()) continue;
-          const AttemptProgress& p = s.progress;
-          const std::uint64_t seq = p.checkpoint_seq->load();
-          board->update_progress(i, p.events->load(),
-                                 bits_double(p.sim_time_bits->load()));
+          const std::uint64_t seq = s.seq.load();
+          board->update_progress(i, s.events.load(),
+                                 bits_double(s.time_bits.load()));
           if (seq > last_seq[i]) {
             board->mark_checkpoint(i, seq - last_seq[i]);
             if (sw.trace)
@@ -1072,8 +1109,6 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
       policy.max_retries = opts.max_retries;
       policy.retry_backoff_s = opts.retry_backoff_s;
       policy.stop = opts.stop;
-      if (use_dir)
-        policy.lease_journal_path = opts.checkpoint_dir + "/dispatch.leases";
 
       DispatchCallbacks cb;
       cb.make_request = [&](std::size_t i, int attempt) {
@@ -1120,10 +1155,6 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
   }
 
   join_threads();
-  if (workdir_created) {
-    std::error_code ec;
-    std::filesystem::remove_all(workdir, ec);  // best-effort scratch cleanup
-  }
   return stats;
 }
 

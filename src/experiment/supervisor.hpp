@@ -36,7 +36,7 @@
 // isolation a worker that dies by signal (segfault, abort, OOM kill) or
 // reports an error is retried from the spec's on-disk checkpoint, and a
 // hung or stopped worker is SIGKILLed by the watchdog instead of
-// cooperatively aborted (see worker_protocol.hpp for the wire format).
+// cooperatively aborted (see dispatch.hpp for the wire it speaks).
 #pragma once
 
 #include <atomic>
@@ -85,8 +85,9 @@ enum class IsolationMode : std::uint8_t {
   /// raises a real signal (segv/abort plans, genuine memory bugs) takes
   /// the whole sweep down.
   kInProcess,
-  /// In a spawned child process (`worker_exe --worker <request>`), one
-  /// per attempt. The parent survives any worker death — segfault,
+  /// In a spawned child process (`worker_exe --worker 3`), one per
+  /// attempt, served its spec in dispatch frames over a socketpair it
+  /// inherits as fd 3. The parent survives any worker death — segfault,
   /// abort, OOM kill — and retries from the last checkpoint. Clean runs
   /// are bit-identical to kInProcess (equivalence test-enforced).
   kProcess,
@@ -111,9 +112,6 @@ struct SupervisorOptions {
   /// replications are skipped, unfinished ones resume from their last
   /// checkpoint.
   bool resume = false;
-  /// Byte-compare every resumed world against its checkpoint (the
-  /// nondeterminism trap). Leave on outside of benchmarks.
-  bool verify_on_resume = true;
   /// External stop flag (SIGINT/SIGTERM handler sets it). nullptr: none.
   const std::atomic<bool>* stop = nullptr;
   /// Test hook: deterministically interrupt every replication after it

@@ -6,16 +6,15 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -23,7 +22,6 @@
 #include "experiment/dispatch.hpp"
 #include "experiment/world.hpp"
 #include "experiment/worker_protocol.hpp"
-#include "faults/invariant_checker.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "snapshot/ckpt_container.hpp"
 
@@ -37,8 +35,8 @@ void run_attempt(const WorkerRequest& req, const AttemptHooks& hooks,
   cfg.faults.attempt = req.attempt;
   const AttemptProgress& p = hooks.progress;
   if (hooks.image != nullptr && !hooks.image->empty()) {
-    out.world = resume_world(cfg, req.kind, *hooks.image,
-                             req.verify_on_resume, hooks.abort, p.events);
+    out.world = resume_world(cfg, req.kind, *hooks.image, true, hooks.abort,
+                             p.events);
     if (!hooks.keep_image) std::vector<std::uint8_t>().swap(*hooks.image);
   } else {
     out.world = std::make_unique<World>(cfg, req.kind);
@@ -119,80 +117,15 @@ std::vector<std::uint8_t> load_resume_image(const std::string& container,
 
 namespace {
 
-/// Reports a failed attempt through the result file, best-effort: a
-/// worker that cannot even write it still exits with the right code, and
-/// the parent then diagnoses from that alone.
-int fail_result(const std::string& path, WorkerResult res,
-                const std::string& error, int exit_code) {
-  res.ok = false;
-  res.error = error;
-  try {
-    write_worker_result(path, res);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "worker: cannot write result %s: %s\n", path.c_str(),
-                 e.what());
-  }
-  return exit_code;
-}
-
-}  // namespace
-
-int run_worker(const std::string& request_path) {
-  WorkerRequest req;
-  try {
-    req = read_worker_request(request_path);
-    req.config.validate();
-  } catch (const std::exception& e) {
-    // No trustworthy result path yet — stderr + exit code is the report.
-    std::fprintf(stderr, "worker: bad request %s: %s\n", request_path.c_str(),
-                 e.what());
-    return kWorkerExitBadRequest;
-  }
-
-  AttemptOutput out;
-  try {
-    std::optional<SharedProgress> progress;
-    AttemptHooks hooks;
-    if (!req.progress_path.empty()) {
-      progress = SharedProgress::open(req.progress_path);
-      hooks.progress = {progress->counter(), progress->sim_time_bits(),
-                        progress->checkpoint_seq()};
-    }
-    // A fresh process has no in-memory image: the container entry the
-    // previous attempt left is the one to resume (a torn tail simply
-    // hides it — container_get recovers what precedes the tear).
-    std::vector<std::uint8_t> image = load_resume_image(
-        req.checkpoint_path, req.checkpoint_spec, req.config, req.kind);
-    hooks.image = &image;
-    try {
-      run_attempt(req, hooks, out);
-    } catch (const std::exception& e) {
-      if (drops_checkpoint(e))
-        erase_checkpoint(req.checkpoint_path, req.checkpoint_spec);
-      throw;
-    }
-    write_worker_result(req.result_path, out.report);
-    return kWorkerExitOk;
-  } catch (const InvariantViolation& e) {
-    return fail_result(req.result_path, std::move(out.report), e.what(),
-                       kWorkerExitInvariant);
-  } catch (const std::exception& e) {
-    // SimulatedCrash, snapshot errors out of resume or checkpoint writes
-    return fail_result(req.result_path, std::move(out.report), e.what(),
-                       kWorkerExitRunFailed);
-  }
-}
-
-namespace {
-
 /// Runs one leased spec in-process and reports its outcome as a
-/// WorkerResult — the same structured ok/error split the file-based
-/// worker writes, so the dispatcher's retry/quarantine decisions match
-/// the local modes byte for byte. A heartbeat thread streams the spec's
-/// live event counter back for the whole run; a frozen counter (SIGSTOP,
-/// wedged sim) stops extending the lease even though frames keep (or
-/// stop) flowing. A remote worker cannot reach the parent's checkpoint
-/// container, so a leased spec always runs from scratch, uncheckpointed.
+/// WorkerResult: a simulation failure is a structured error, so the
+/// parent's retry/quarantine decisions match the in-process backend
+/// byte for byte. A heartbeat thread streams the attempt's live progress
+/// back every lease/4 (clamped to [0.05, 5] s); a frozen event counter
+/// (SIGSTOP, wedged sim) stops extending the lease even though frames
+/// keep flowing. A spawned local worker resumes from, checkpoints into
+/// and on a bad image erases the spec's container entry; a remote grant
+/// carries no container, so its spec runs from scratch, uncheckpointed.
 WorkerResult run_leased_spec(
     const GrantItem& item, std::uint64_t lease_id, double lease_secs,
     const std::function<void(const std::vector<std::uint8_t>&)>& send) {
@@ -206,55 +139,60 @@ WorkerResult run_leased_spec(
     return res;
   }
 
+  // A fresh process has no in-memory image: the container entry the
+  // previous attempt left is the one to resume (a torn tail simply
+  // hides it — container_get recovers what precedes the tear).
+  std::vector<std::uint8_t> image = load_resume_image(
+      req.checkpoint_path, req.checkpoint_spec, req.config, req.kind);
+
   std::atomic<std::uint64_t> events{0};
   std::atomic<std::uint64_t> time_bits{0};
-  std::atomic<bool> hb_stop{false};
-  const double period = std::clamp(lease_secs / 4.0, 0.05, 5.0);
+  std::atomic<std::uint64_t> seq{0};
+  std::mutex hb_mu;
+  std::condition_variable hb_cv;
+  bool hb_stop = false;
+  const auto period = std::chrono::duration<double>(
+      std::clamp(lease_secs / 4.0, 0.05, 5.0));
   std::thread heartbeat([&] {
-    for (;;) {
-      // Sleep in short slices so shutdown is prompt.
-      for (double waited = 0.0; waited < period && !hb_stop.load();
-           waited += 0.01)
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      if (hb_stop.load()) return;
+    std::unique_lock<std::mutex> lock(hb_mu);
+    while (!hb_cv.wait_for(lock, period, [&] { return hb_stop; })) {
+      lock.unlock();
       try {
         send(encode_heartbeat_frame(lease_id, item.spec, events.load(),
-                                    time_bits.load()));
+                                    time_bits.load(), seq.load()));
       } catch (const std::exception&) {
         return;  // socket gone; the main loop will notice on its own
       }
+      lock.lock();
     }
   });
 
-  req.checkpoint_path.clear();
   AttemptHooks hooks;
-  hooks.progress = {&events, &time_bits, nullptr};
+  hooks.image = &image;
+  hooks.progress = {&events, &time_bits, &seq};
   AttemptOutput out;
   try {
     run_attempt(req, hooks, out);
   } catch (const std::exception& e) {
-    // InvariantViolation, SimulatedCrash, ... — a *reported* failure,
-    // which consumes the spec's sim retry budget dispatcher-side.
+    // InvariantViolation, SimulatedCrash, a failed resume, ... — a
+    // *reported* failure, which consumes the spec's sim retry budget.
+    if (drops_checkpoint(e))
+      erase_checkpoint(req.checkpoint_path, req.checkpoint_spec);
     out.report.ok = false;
     out.report.error = e.what();
   }
-  hb_stop.store(true);
+  {
+    std::lock_guard<std::mutex> lock(hb_mu);
+    hb_stop = true;
+  }
+  hb_cv.notify_one();
   heartbeat.join();
   return std::move(out.report);
 }
 
 }  // namespace
 
-int run_dispatch_worker(const std::string& host, int port) {
-  int fd = -1;
-  try {
-    fd = net::connect_tcp(host, port);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "worker: cannot connect to %s:%d: %s\n", host.c_str(),
-                 port, e.what());
-    return kWorkerExitBadRequest;
-  }
-
+int serve_worker(int fd) {
   // The heartbeat thread and the main loop share the socket; frames must
   // not interleave mid-write.
   std::mutex send_mu;
@@ -263,38 +201,21 @@ int run_dispatch_worker(const std::string& host, int port) {
     net::write_full(fd, bytes.data(), bytes.size());
   };
 
-  std::vector<std::uint8_t> buf;
-  std::vector<std::uint8_t> chunk(64 * 1024);
-  // Blocks until one whole frame arrived; false on clean dispatcher EOF.
-  const auto read_frame = [&](WireFrame* out) {
-    for (;;) {
-      const std::size_t used =
-          try_extract_frame(buf.data(), buf.size(), "dispatch stream", out);
-      if (used > 0) {
-        buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(used));
-        return true;
-      }
-      const ssize_t got = net::recv_some(fd, chunk.data(), chunk.size());
-      if (got == 0) return false;
-      if (got < 0)
-        throw net::NetError(std::string("recv: ") + std::strerror(errno));
-      buf.insert(buf.end(), chunk.data(), chunk.data() + got);
-    }
-  };
-
   // Chaos-test hook: sever the connection (no goodbye, no flush beyond
-  // what TCP already carried) after the Nth result frame.
+  // what the socket already carried) after the Nth result frame.
   long drop_after = -1;
   if (const char* env = std::getenv("DFTMSN_DISPATCH_DROP_AFTER"))
     drop_after = std::atol(env);
   long results_sent = 0;
 
+  std::vector<std::uint8_t> buf;
   try {
     send(encode_hello_frame("worker-" + std::to_string(::getpid())));
     for (;;) {
       send(encode_request_frame());
       WireFrame f;
-      if (!read_frame(&f)) break;  // dispatcher gone: sweep is over for us
+      // The other end gone: the sweep is over for us.
+      if (!read_frame(fd, buf, "dispatch stream", &f)) break;
       if (f.type == FrameType::kNoWork) {
         if (f.done) break;
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -304,7 +225,7 @@ int run_dispatch_worker(const std::string& host, int port) {
         throw snapshot::SnapshotError(
             "dispatch stream: expected grant or nowork");
       for (const GrantItem& item : f.items) {
-        WorkerResult res =
+        const WorkerResult res =
             run_leased_spec(item, f.lease_id, f.lease_secs, send);
         send(encode_result_frame(f.lease_id, item.spec, item.attempt,
                                  encode_worker_result(res)));
@@ -323,6 +244,18 @@ int run_dispatch_worker(const std::string& host, int port) {
   }
   ::close(fd);
   return kWorkerExitOk;
+}
+
+int run_dispatch_worker(const std::string& host, int port) {
+  int fd = -1;
+  try {
+    fd = net::connect_tcp(host, port);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "worker: cannot connect to %s:%d: %s\n", host.c_str(),
+                 port, e.what());
+    return kWorkerExitBadRequest;
+  }
+  return serve_worker(fd);
 }
 
 }  // namespace dftmsn

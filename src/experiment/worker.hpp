@@ -1,12 +1,13 @@
 // One replication attempt, as every execution backend runs it.
 // run_attempt is the only code that builds or resumes an attempt's
 // World, slices it, checkpoints it and reduces it; the supervisor's pool
-// threads, the `--worker FILE` child of process isolation (run_worker,
-// speaking worker_protocol.hpp) and the `--connect` dispatch worker
-// (dispatch.hpp) all call it, so a clean run produces bit-identical
-// results and checkpoint counts in every mode. The in-process backend
-// and the child also share one resume rule: load_resume_image picks the
-// entry, drops_checkpoint says when a failure discards it.
+// threads and the one frame loop that both the `--worker FD` child of
+// process isolation and the `--connect` dispatch worker run
+// (serve_worker, dispatch.hpp) all call it, so a clean run produces
+// bit-identical results and checkpoint counts in every mode. The
+// in-process backend and the frame loop also share one resume rule:
+// load_resume_image picks the entry, drops_checkpoint says when a
+// failure discards it.
 #pragma once
 
 #include <atomic>
@@ -32,10 +33,10 @@ struct AttemptProgress {
 /// The in-memory side of an attempt, which a request image cannot carry.
 struct AttemptHooks {
   /// The spec's last good checkpoint. A non-empty image is resumed from
-  /// (replayed, and verified when the request says so); nullptr or empty:
-  /// a fresh World. With keep_image each checkpoint the attempt writes
-  /// replaces it, so it survives the attempt; otherwise it is released
-  /// once the World is resumed.
+  /// (replayed and verified); nullptr or empty: a fresh World. With
+  /// keep_image each checkpoint the attempt writes replaces it, so it
+  /// survives the attempt; otherwise it is released once the World is
+  /// resumed.
   std::vector<std::uint8_t>* image = nullptr;
   bool keep_image = false;
   AttemptProgress progress;
@@ -81,11 +82,5 @@ std::vector<std::uint8_t> load_resume_image(const std::string& container,
                                             std::uint64_t spec,
                                             const Config& config,
                                             ProtocolKind kind);
-
-/// Runs one replication attempt from a request file. Returns the process
-/// exit code (kWorkerExit*); never throws. Errors that occur after the
-/// request was decoded are also reported through the result file so the
-/// parent gets a structured message, not just an exit code.
-int run_worker(const std::string& request_path);
 
 }  // namespace dftmsn

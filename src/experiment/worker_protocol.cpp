@@ -1,15 +1,8 @@
 #include "experiment/worker_protocol.hpp"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
-#include <cerrno>
 #include <csignal>
-#include <cstring>
-#include <stdexcept>
 
 #include "common/config_io.hpp"
 #include "snapshot/snapshot_io.hpp"
@@ -19,7 +12,7 @@ namespace {
 
 constexpr char kRequestMagic[] = "DFTMSNWQ";
 constexpr char kResultMagic[] = "DFTMSNWR";
-constexpr std::uint32_t kProtocolVersion = 3;  // v3: framed dispatch wire
+constexpr std::uint32_t kProtocolVersion = 4;  // v4: frames only
 
 // The six doubles go first as bit patterns, then the counters, in
 // RunResult declaration order — the same order the manifest uses.
@@ -82,11 +75,6 @@ std::uint32_t check_version(snapshot::Reader& rd, const char* what) {
   return v;
 }
 
-[[noreturn]] void sys_fail(const std::string& what) {
-  throw std::runtime_error("shared progress: " + what + ": " +
-                           std::strerror(errno));
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> encode_worker_request(const WorkerRequest& req) {
@@ -99,9 +87,6 @@ std::vector<std::uint8_t> encode_worker_request(const WorkerRequest& req) {
   w.str(req.checkpoint_path);
   w.u64(req.checkpoint_spec);
   w.f64(req.checkpoint_every_s);
-  w.boolean(req.verify_on_resume);
-  w.str(req.result_path);
-  w.str(req.progress_path);
   w.end_section();
   return snapshot::seal_container(kRequestMagic, w.bytes());
 }
@@ -117,23 +102,8 @@ WorkerRequest decode_worker_request(const std::vector<std::uint8_t>& image) {
   req.checkpoint_path = rd.str();
   req.checkpoint_spec = rd.u64();
   req.checkpoint_every_s = rd.f64();
-  req.verify_on_resume = rd.boolean();
-  req.result_path = rd.str();
-  req.progress_path = rd.str();
   rd.end_section();
   return req;
-}
-
-void write_worker_request(const std::string& path, const WorkerRequest& req) {
-  snapshot::write_file_atomic(path, encode_worker_request(req));
-}
-
-WorkerRequest read_worker_request(const std::string& path) {
-  try {
-    return decode_worker_request(snapshot::read_file(path));
-  } catch (const snapshot::SnapshotError& e) {
-    throw snapshot::SnapshotError("worker request " + path + ": " + e.what());
-  }
 }
 
 std::vector<std::uint8_t> encode_worker_result(const WorkerResult& res) {
@@ -163,18 +133,6 @@ WorkerResult decode_worker_result(const std::vector<std::uint8_t>& image) {
   return res;
 }
 
-void write_worker_result(const std::string& path, const WorkerResult& res) {
-  snapshot::write_file_atomic(path, encode_worker_result(res));
-}
-
-WorkerResult read_worker_result(const std::string& path) {
-  try {
-    return decode_worker_result(snapshot::read_file(path));
-  } catch (const snapshot::SnapshotError& e) {
-    throw snapshot::SnapshotError("worker result " + path + ": " + e.what());
-  }
-}
-
 std::string worker_signal_name(int sig) {
   // Hand-mapped so manifest strings are identical across libcs.
   switch (sig) {
@@ -189,7 +147,7 @@ std::string worker_signal_name(int sig) {
   }
 }
 
-WorkerExitDecision decode_worker_exit(int wait_status, WorkerFileState file,
+WorkerExitDecision decode_worker_exit(int wait_status, WorkerStream stream,
                                       const std::string& reported_error) {
   if (WIFSIGNALED(wait_status))
     return {false,
@@ -197,137 +155,26 @@ WorkerExitDecision decode_worker_exit(int wait_status, WorkerFileState file,
   if (WIFEXITED(wait_status)) {
     const int code = WEXITSTATUS(wait_status);
     if (code == 0) {
-      switch (file) {
-        case WorkerFileState::kOk:
+      switch (stream) {
+        case WorkerStream::kOk:
           return {true, ""};
-        case WorkerFileState::kMissing:
-          return {false, "worker exited 0 but wrote no result file"};
-        case WorkerFileState::kCorrupt:
-          return {false, "worker exited 0 but its result file is corrupt"};
-        case WorkerFileState::kError:
+        case WorkerStream::kNothing:
+          return {false, "worker exited 0 but sent no result"};
+        case WorkerStream::kCorrupt:
+          return {false, "worker exited 0 but its result stream is corrupt"};
+        case WorkerStream::kError:
           return {false, reported_error.empty()
                              ? "worker exited 0 with an error result"
                              : reported_error};
       }
     }
     // Nonzero exit: prefer the structured error the worker managed to
-    // write; a bare exit code is the fallback diagnosis.
+    // send; a bare exit code is the fallback diagnosis.
     return {false, reported_error.empty()
                        ? "worker exit code " + std::to_string(code)
                        : reported_error};
   }
   return {false, "worker wait status " + std::to_string(wait_status)};
-}
-
-// --- SharedProgress ----------------------------------------------------
-
-static_assert(sizeof(std::atomic<std::uint64_t>) == 8,
-              "shared progress mapping assumes an 8-byte atomic");
-static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
-              "cross-process progress needs a lock-free atomic");
-
-namespace {
-
-void* map_block(int fd) {
-  void* addr = ::mmap(nullptr, kSharedProgressSize, PROT_READ | PROT_WRITE,
-                      MAP_SHARED, fd, 0);
-  if (addr == MAP_FAILED) sys_fail("mmap");
-  return addr;
-}
-
-}  // namespace
-
-SharedProgress SharedProgress::create(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0600);
-  if (fd < 0) sys_fail("open " + path);
-  if (::ftruncate(fd, static_cast<off_t>(kSharedProgressSize)) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    errno = saved;
-    sys_fail("ftruncate " + path);
-  }
-  SharedProgress sp;
-  try {
-    sp.block_ = static_cast<Block*>(map_block(fd));
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);  // the mapping keeps the page alive
-  sp.block_->magic = kSharedProgressMagic;
-  sp.block_->version = kSharedProgressVersion;
-  sp.block_->events.store(0, std::memory_order_relaxed);
-  sp.block_->sim_time_bits.store(0, std::memory_order_relaxed);
-  sp.block_->checkpoint_seq.store(0, std::memory_order_relaxed);
-  return sp;
-}
-
-SharedProgress SharedProgress::open(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDWR);
-  if (fd < 0) sys_fail("open " + path);
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    errno = saved;
-    sys_fail("fstat " + path);
-  }
-  if (static_cast<std::size_t>(st.st_size) != kSharedProgressSize) {
-    ::close(fd);
-    throw std::runtime_error(
-        "progress file " + path + ": " + std::to_string(st.st_size) +
-        " bytes (a v" + std::to_string(kSharedProgressVersion) +
-        " block is " + std::to_string(kSharedProgressSize) + ")");
-  }
-  SharedProgress sp;
-  try {
-    sp.block_ = static_cast<Block*>(map_block(fd));
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
-  if (sp.block_->magic != kSharedProgressMagic)
-    throw std::runtime_error("progress file " + path +
-                             ": not a shared-progress block (bad magic)");
-  if (sp.block_->version != kSharedProgressVersion)
-    throw std::runtime_error(
-        "progress file " + path + ": version " +
-        std::to_string(sp.block_->version) + " (this build speaks " +
-        std::to_string(kSharedProgressVersion) + ")");
-  return sp;
-}
-
-void SharedProgress::store_sim_time(double t) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &t, sizeof(bits));
-  block_->sim_time_bits.store(bits, std::memory_order_relaxed);
-}
-
-double SharedProgress::load_sim_time() const {
-  const std::uint64_t bits =
-      block_->sim_time_bits.load(std::memory_order_relaxed);
-  double t = 0.0;
-  std::memcpy(&t, &bits, sizeof(t));
-  return t;
-}
-
-SharedProgress::SharedProgress(SharedProgress&& other) noexcept
-    : block_(other.block_) {
-  other.block_ = nullptr;
-}
-
-SharedProgress& SharedProgress::operator=(SharedProgress&& other) noexcept {
-  if (this != &other) {
-    if (block_ != nullptr) ::munmap(block_, kSharedProgressSize);
-    block_ = other.block_;
-    other.block_ = nullptr;
-  }
-  return *this;
-}
-
-SharedProgress::~SharedProgress() {
-  if (block_ != nullptr) ::munmap(block_, kSharedProgressSize);
 }
 
 }  // namespace dftmsn

@@ -1,30 +1,24 @@
-// Wire format and process plumbing between a supervising sweep parent
-// and its isolated replication workers (`dftmsn_cli --worker FILE`).
+// The sealed images a supervising sweep parent and its replication
+// workers exchange, and the parent's verdict on a spawned worker.
 //
-// The parent hands each worker one *request file* — the full Config
-// (bit-exact encoding, see save_config_exact), the protocol kind, the
-// attempt number and the paths the worker must use — and the worker
-// hands back one *result file* with either the finished RunResult plus
-// its telemetry registry, or a structured error. Both files are sealed
-// containers (8-byte magic + payload + trailing FNV-1a digest, see
-// seal_container), so a torn write or a half-dead worker can never feed
-// the parent garbage: validation fails loudly and the parent retries.
-// Protocol v3 carries the same sealed request/result images over TCP as
-// length-framed, digest-checked wire frames (experiment/dispatch.hpp)
-// so pull-mode workers (`--connect HOST:PORT`) speak the identical
-// container format; a torn or tampered frame drops the connection.
+// The parent describes each attempt as one *request image* — the full
+// Config (bit-exact encoding, see save_config_exact), the protocol kind,
+// the attempt number and the checkpoint policy — and the worker answers
+// with one *result image*: either the finished RunResult plus its
+// telemetry registry, or a structured error. Both are sealed containers
+// (8-byte magic + payload + trailing FNV-1a digest, see seal_container),
+// so a torn or tampered image fails validation loudly and the parent
+// retries instead of trusting garbage.
 //
-// Progress crosses the process boundary through a small file-backed
-// shared mapping (SharedProgress): the worker's simulator stores its
-// executed-event count there and the parent's watchdog reads it exactly
-// like an in-process slot — MAP_ANONYMOUS would not survive the exec.
-// v2 widened the block from the original bare 8-byte counter to a
-// 32-byte versioned record that also carries the attempt's virtual
-// sim-time and checkpoint sequence, feeding the live status plane
-// (telemetry/status.hpp) without any extra IPC.
+// Every worker receives them the same way: inside the dispatch frames
+// (experiment/dispatch.hpp), whose heartbeats also carry its live
+// progress. A `--connect HOST:PORT` worker speaks them over TCP; the
+// `--worker FD` child of process isolation speaks them over one end of
+// a socketpair it inherits as fd FD. Protocol v4 dropped the request's
+// result/progress file paths and its verify-on-resume flag: the files
+// are gone and every resume verifies.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -36,13 +30,11 @@
 
 namespace dftmsn {
 
-// Worker process exit codes. 0/2 deliberately line up with the CLI's own
-// ok/usage-error codes; 3 matches the CLI's invariant-violation code; 6
-// is worker-specific (run failed, structured error in the result file).
+// Worker process exit codes, shared by `--worker` and `--connect`. They
+// line up with the CLI's own ok/usage-error codes; a simulation failure
+// travels in the result frame, never in the exit code.
 inline constexpr int kWorkerExitOk = 0;
 inline constexpr int kWorkerExitBadRequest = 2;
-inline constexpr int kWorkerExitInvariant = 3;
-inline constexpr int kWorkerExitRunFailed = 6;
 
 /// Everything a worker needs to run one replication attempt.
 struct WorkerRequest {
@@ -50,14 +42,10 @@ struct WorkerRequest {
   ProtocolKind kind = ProtocolKind::kOpt;
   int attempt = 0;               ///< gates attempts=-qualified fault events
   /// Checkpoint container ("DFTMSNCC") the attempt reads/writes its
-  /// entry in. Empty: no checkpointing. (v1 of this protocol carried a
-  /// per-spec .ckpt file path here.)
+  /// entry in. Empty: no checkpointing (always so for a remote worker).
   std::string checkpoint_path;
   std::uint64_t checkpoint_spec = 0;  ///< this attempt's container entry
   double checkpoint_every_s = 0.0;
-  bool verify_on_resume = true;
-  std::string result_path;       ///< where the worker writes its result
-  std::string progress_path;     ///< SharedProgress file (empty: none)
 };
 
 /// What a worker reports back. On ok=false only `error` is meaningful.
@@ -71,20 +59,16 @@ struct WorkerResult {
 
 std::vector<std::uint8_t> encode_worker_request(const WorkerRequest& req);
 WorkerRequest decode_worker_request(const std::vector<std::uint8_t>& image);
-void write_worker_request(const std::string& path, const WorkerRequest& req);
-WorkerRequest read_worker_request(const std::string& path);
 
 std::vector<std::uint8_t> encode_worker_result(const WorkerResult& res);
 WorkerResult decode_worker_result(const std::vector<std::uint8_t>& image);
-void write_worker_result(const std::string& path, const WorkerResult& res);
-WorkerResult read_worker_result(const std::string& path);
 
-/// What the parent found when it went to read a worker's result file.
-enum class WorkerFileState : std::uint8_t {
-  kOk,       ///< decoded cleanly, ok=true
-  kError,    ///< decoded cleanly, ok=false (worker reported a failure)
-  kMissing,  ///< no file (worker died before writing)
-  kCorrupt,  ///< file exists but failed digest/decoding
+/// What the parent's stream from a spawned worker delivered.
+enum class WorkerStream : std::uint8_t {
+  kOk,       ///< a result frame with ok=true
+  kError,    ///< a result frame with ok=false (worker reported a failure)
+  kNothing,  ///< the stream ended before any result frame
+  kCorrupt,  ///< a damaged frame or an undecodable result image
 };
 
 /// Supervisor verdict for one finished worker.
@@ -93,11 +77,11 @@ struct WorkerExitDecision {
   std::string detail;     ///< failure message for the manifest (retry path)
 };
 
-/// Maps a waitpid status + result-file state to the supervisor action.
-/// `reported_error` is the error string out of a decoded error-result
-/// (empty otherwise). Pure function — unit-testable against a table of
-/// crafted wait statuses.
-WorkerExitDecision decode_worker_exit(int wait_status, WorkerFileState file,
+/// Maps a waitpid status + what the worker's stream delivered to the
+/// supervisor action. `reported_error` is the error string out of a
+/// decoded error result (empty otherwise). Pure function — unit-testable
+/// against a table of crafted wait statuses.
+WorkerExitDecision decode_worker_exit(int wait_status, WorkerStream stream,
                                       const std::string& reported_error);
 
 /// "SIGSEGV" for 11, "signal 42" for everything unnamed. Hand-mapped:
@@ -105,79 +89,5 @@ WorkerExitDecision decode_worker_exit(int wait_status, WorkerFileState file,
 /// but its strings vary across libcs and would leak into manifest
 /// golden comparisons.
 std::string worker_signal_name(int sig);
-
-/// Shared-progress block format v2: a 32-byte file the parent creates
-/// and maps, the worker opens and maps, and both sides then touch only
-/// through lock-free 8-byte atomics on the shared page.
-///
-///   offset 0   u32  magic "DPRG" (0x47525044 little-endian)
-///   offset 4   u32  version (2)
-///   offset 8   u64  executed events        (simulator progress counter)
-///   offset 16  u64  sim-time, double bits  (virtual seconds reached)
-///   offset 24  u64  checkpoint sequence    (checkpoints this attempt)
-///
-/// open() rejects a wrong size, magic or version with a one-line error
-/// — a stale v1 file left by an older build fails loudly instead of
-/// feeding the status plane garbage (same idiom as the checkpoint
-/// format gate).
-inline constexpr std::uint32_t kSharedProgressMagic = 0x47525044;  // "DPRG"
-inline constexpr std::uint32_t kSharedProgressVersion = 2;
-inline constexpr std::size_t kSharedProgressSize = 32;
-
-class SharedProgress {
- public:
-  /// Parent side: create/truncate the file, map it, write the header
-  /// and zero the fields. Throws std::runtime_error on any syscall
-  /// failure.
-  static SharedProgress create(const std::string& path);
-  /// Worker side: map an existing file created by create(). Throws
-  /// std::runtime_error on syscall failure, wrong size, or a header
-  /// from a different format version.
-  static SharedProgress open(const std::string& path);
-
-  SharedProgress(SharedProgress&& other) noexcept;
-  SharedProgress& operator=(SharedProgress&& other) noexcept;
-  SharedProgress(const SharedProgress&) = delete;
-  SharedProgress& operator=(const SharedProgress&) = delete;
-  ~SharedProgress();
-
-  [[nodiscard]] std::atomic<std::uint64_t>* counter() {
-    return &block_->events;
-  }
-  [[nodiscard]] const std::atomic<std::uint64_t>* counter() const {
-    return &block_->events;
-  }
-  [[nodiscard]] std::atomic<std::uint64_t>* sim_time_bits() {
-    return &block_->sim_time_bits;
-  }
-  [[nodiscard]] const std::atomic<std::uint64_t>* sim_time_bits() const {
-    return &block_->sim_time_bits;
-  }
-  [[nodiscard]] std::atomic<std::uint64_t>* checkpoint_seq() {
-    return &block_->checkpoint_seq;
-  }
-  [[nodiscard]] const std::atomic<std::uint64_t>* checkpoint_seq() const {
-    return &block_->checkpoint_seq;
-  }
-
-  /// Convenience for the double-valued sim-time field.
-  void store_sim_time(double t);
-  [[nodiscard]] double load_sim_time() const;
-
- private:
-  struct Block {
-    std::uint32_t magic;
-    std::uint32_t version;
-    std::atomic<std::uint64_t> events;
-    std::atomic<std::uint64_t> sim_time_bits;
-    std::atomic<std::uint64_t> checkpoint_seq;
-  };
-  static_assert(sizeof(Block) == kSharedProgressSize,
-                "shared progress block layout drifted");
-
-  SharedProgress() = default;
-
-  Block* block_ = nullptr;
-};
 
 }  // namespace dftmsn

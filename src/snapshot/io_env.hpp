@@ -1,7 +1,7 @@
 // Injectable I/O environment: every durable-state write in the system
-// (checkpoint container appends, sweep manifests, worker request/result
-// files, motion traces, JSON reports) goes through this layer instead of
-// calling the filesystem directly.
+// (checkpoint container appends, sweep manifests, motion traces, JSON
+// reports) goes through this layer instead of calling the filesystem
+// directly.
 //
 // Two jobs:
 //

@@ -123,7 +123,7 @@ void require_identical(const std::vector<std::uint8_t>& expected,
 
 /// Wraps `payload` in a self-validating container: an 8-byte magic,
 /// the payload, and a trailing FNV-1a digest of everything before it.
-/// The worker-protocol request/result files reuse this shape (the
+/// The worker-protocol request/result images reuse this shape (the
 /// checkpoint container predates the helper and carries the same layout
 /// with an embedded version field).
 std::vector<std::uint8_t> seal_container(const char* magic8,

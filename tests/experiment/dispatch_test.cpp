@@ -132,13 +132,15 @@ TEST(DispatchFrames, RoundTripEveryType) {
   EXPECT_EQ(f.attempt, 2);
   EXPECT_EQ(f.result, sealed);
 
-  const auto hb = encode_heartbeat_frame(11, 5, 12345, 0x3ff0000000000000u);
+  const auto hb =
+      encode_heartbeat_frame(11, 5, 12345, 0x3ff0000000000000u, 7);
   ASSERT_EQ(try_extract_frame(hb.data(), hb.size(), "t", &f), hb.size());
   EXPECT_EQ(f.type, FrameType::kHeartbeat);
   EXPECT_EQ(f.lease_id, 11u);
   EXPECT_EQ(f.spec, 5u);
   EXPECT_EQ(f.events, 12345u);
   EXPECT_EQ(f.sim_time_bits, 0x3ff0000000000000u);
+  EXPECT_EQ(f.checkpoint_seq, 7u);
 }
 
 TEST(DispatchFrames, EveryPartialPrefixAsksForMoreBytes) {
@@ -470,8 +472,6 @@ TEST(DispatchQueue, DispatchedSweepMatchesInProcessManifestBytes) {
   EXPECT_EQ(snapshot::read_file(manifest_path(run_dir.path)),
             snapshot::read_file(manifest_path(ref_dir.path)))
       << "dispatched manifest must be byte-identical to in-process";
-  // The lease journal is advisory scaffolding; a clean return removes it.
-  EXPECT_FALSE(fs::exists(run_dir.path + "/dispatch.leases"));
 }
 
 TEST(DispatchQueue, SimFailureRetriesThenQuarantinesLikeLocalModes) {

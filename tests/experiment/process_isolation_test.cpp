@@ -23,6 +23,7 @@
 #include "experiment/world.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "snapshot/ckpt_container.hpp"
+#include "telemetry/json_value.hpp"
 
 namespace dftmsn {
 namespace {
@@ -178,8 +179,8 @@ TEST(ProcessIsolation, RegistryCrossesTheProcessBoundaryIntact) {
 }
 
 TEST(ProcessIsolation, WorksWithoutACheckpointDir) {
-  // No checkpoint_dir: worker scratch files go to a temp dir the
-  // supervisor creates and removes; retries restart from scratch.
+  // No checkpoint_dir: the worker has no container to resume from, so
+  // retries restart from scratch.
   RunSpec spec;
   spec.config = small_config(215);
   spec.config.faults.plan = "segv@300:attempts=1";
@@ -227,6 +228,63 @@ TEST(ProcessIsolation, FailedResumeVerificationRetriesInBothModes) {
       manifest_of("iso_stale_in.tmp", IsolationMode::kInProcess);
   ASSERT_FALSE(in_proc.empty());
   EXPECT_EQ(in_proc, manifest_of("iso_stale_pr.tmp", IsolationMode::kProcess));
+}
+
+TEST(ProcessIsolation, DeadWorkerIsNoticedWhileItsSiblingRuns) {
+  // A parent learns of a worker's death from EOF on its socket, which
+  // arrives only once every copy of the worker's end is closed. Were a
+  // sibling spawned alongside it to inherit that end, the dead worker's
+  // retry would wait for the sibling to exit. Spec 0 dies early; spec 1
+  // runs several times longer: spec 0 must be retried, and done, first.
+  TempDir dir("iso_sibling.tmp");
+  std::vector<RunSpec> specs(2);
+  specs[0].config = small_config(218);
+  specs[0].config.faults.plan = "segv@50:attempts=1";
+  specs[1].config = small_config(219);
+  specs[1].config.scenario.num_sensors = 30;
+  specs[1].config.scenario.duration_s = 4800.0;
+
+  SupervisorOptions opts = base_options(dir.path, IsolationMode::kProcess);
+  opts.checkpoint_every_s = 0.0;
+  opts.jobs = 2;
+  opts.max_retries = 1;
+  opts.obs.trace_path = dir.path + "/trace.jsonl";
+  const SweepManifest m = run_specs_supervised(specs, opts);
+  ASSERT_EQ(m.completed(), 2);
+  EXPECT_EQ(m.specs[0].retries, 1);
+  EXPECT_EQ(m.specs[1].retries, 0);
+
+  Config straight = specs[0].config;
+  straight.faults.attempt = 1;
+  const RunResult expect[] = {run_once(straight, specs[0].kind),
+                              run_once(specs[1].config, specs[1].kind)};
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(m.specs[i].result.events_executed, expect[i].events_executed);
+    EXPECT_EQ(m.specs[i].result.delivered, expect[i].delivered);
+    EXPECT_DOUBLE_EQ(m.specs[i].result.delivery_ratio,
+                     expect[i].delivery_ratio);
+  }
+
+  // Wall-clock stamps (us) of spec 0's retry and of each spec's last
+  // attempt end.
+  double retry0 = -1.0, end0 = -1.0, end1 = -1.0;
+  std::ifstream in(opts.obs.trace_path);
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line == "[") continue;
+    const telemetry::JsonValue v =
+        telemetry::parse_json(line.substr(0, line.size() - 1));
+    const double tid = v.number_or("tid", -1.0);
+    const double ts = v.number_or("ts", -1.0);
+    const std::string name = v.string_or("name", "");
+    if (tid == 0.0 && name == "retry") retry0 = ts;
+    if (name == "attempt" && v.string_or("ph", "") == "E")
+      (tid == 0.0 ? end0 : end1) = ts;
+  }
+  ASSERT_GE(retry0, 0.0);
+  ASSERT_GE(end1, 0.0);
+  EXPECT_LT(retry0, end1) << "spec 0's death went unseen until spec 1 ended";
+  EXPECT_LT(end0, end1) << "spec 0's retry waited for spec 1";
 }
 
 TEST(ProcessIsolation, ProcessModeWithoutWorkerExeThrows) {

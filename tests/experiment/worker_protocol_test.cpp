@@ -1,12 +1,11 @@
 // Worker protocol: bit-exact request/result round-trips through the
-// sealed container files, the table of waitpid-status -> supervisor
-// decisions, and the cross-process shared progress counter.
+// sealed container images, and the table of waitpid-status + stream
+// state -> supervisor decisions.
 #include "experiment/worker_protocol.hpp"
 
 #include <gtest/gtest.h>
 
 #include <csignal>
-#include <cstdio>
 #include <cstring>
 
 #include "common/config_io.hpp"
@@ -36,9 +35,6 @@ TEST(WorkerProtocol, RequestRoundTripsConfigBitExactly) {
   req.attempt = 3;
   req.checkpoint_path = "ck/spec_7.ckpt";
   req.checkpoint_every_s = 250.25;
-  req.verify_on_resume = false;
-  req.result_path = "scratch/spec_7.result";
-  req.progress_path = "scratch/spec_7.progress";
 
   const WorkerRequest got =
       decode_worker_request(encode_worker_request(req));
@@ -51,9 +47,6 @@ TEST(WorkerProtocol, RequestRoundTripsConfigBitExactly) {
   EXPECT_EQ(got.attempt, req.attempt);
   EXPECT_EQ(got.checkpoint_path, req.checkpoint_path);
   EXPECT_TRUE(same_bits(got.checkpoint_every_s, req.checkpoint_every_s));
-  EXPECT_FALSE(got.verify_on_resume);
-  EXPECT_EQ(got.result_path, req.result_path);
-  EXPECT_EQ(got.progress_path, req.progress_path);
 }
 
 TEST(WorkerProtocol, OkResultRoundTripsWithRegistry) {
@@ -116,42 +109,42 @@ TEST(WorkerProtocol, DecodeWorkerExitTable) {
   struct Case {
     const char* name;
     int status;
-    WorkerFileState file;
+    WorkerStream stream;
     const char* reported;
     bool accept;
     const char* detail_contains;  ///< nullptr: detail must be empty
   };
   const Case cases[] = {
-      {"clean exit + ok result", exited(0), WorkerFileState::kOk, "", true,
+      {"clean exit + ok result", exited(0), WorkerStream::kOk, "", true,
        nullptr},
-      {"clean exit, no result file", exited(0), WorkerFileState::kMissing, "",
-       false, "no result file"},
-      {"clean exit, torn result file", exited(0), WorkerFileState::kCorrupt,
+      {"clean exit, no result", exited(0), WorkerStream::kNothing, "", false,
+       "sent no result"},
+      {"clean exit, torn result stream", exited(0), WorkerStream::kCorrupt,
        "", false, "corrupt"},
-      {"clean exit, error result", exited(0), WorkerFileState::kError,
+      {"clean exit, error result", exited(0), WorkerStream::kError,
        "invariant I3 violated", false, "invariant I3 violated"},
-      {"run-failed exit with structured error", exited(kWorkerExitRunFailed),
-       WorkerFileState::kError, "simulated crash at t=300", false,
+      {"nonzero exit with structured error", exited(kWorkerExitBadRequest),
+       WorkerStream::kError, "simulated crash at t=300", false,
        "simulated crash at t=300"},
-      {"bad-request exit, nothing written", exited(kWorkerExitBadRequest),
-       WorkerFileState::kMissing, "", false, "worker exit code 2"},
-      {"segfault", signaled(SIGSEGV), WorkerFileState::kMissing, "", false,
+      {"bad-request exit, nothing sent", exited(kWorkerExitBadRequest),
+       WorkerStream::kNothing, "", false, "worker exit code 2"},
+      {"segfault", signaled(SIGSEGV), WorkerStream::kNothing, "", false,
        "worker killed by SIGSEGV"},
-      {"abort", signaled(SIGABRT), WorkerFileState::kMissing, "", false,
+      {"abort", signaled(SIGABRT), WorkerStream::kNothing, "", false,
        "worker killed by SIGABRT"},
-      {"watchdog/oom kill", signaled(SIGKILL), WorkerFileState::kMissing, "",
+      {"watchdog/oom kill", signaled(SIGKILL), WorkerStream::kNothing, "",
        false, "worker killed by SIGKILL"},
-      {"unnamed signal", signaled(35), WorkerFileState::kMissing, "", false,
+      {"unnamed signal", signaled(35), WorkerStream::kNothing, "", false,
        "worker killed by signal 35"},
-      // A signal death outranks whatever half-result made it to disk: the
-      // file may predate the kill.
-      {"signal death with stale ok file", signaled(SIGKILL),
-       WorkerFileState::kOk, "", false, "worker killed by SIGKILL"},
+      // A signal death outranks a result that made it onto the stream:
+      // the worker died before it could exit cleanly.
+      {"signal death after an ok result", signaled(SIGKILL),
+       WorkerStream::kOk, "", false, "worker killed by SIGKILL"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const WorkerExitDecision d =
-        decode_worker_exit(c.status, c.file, c.reported);
+        decode_worker_exit(c.status, c.stream, c.reported);
     EXPECT_EQ(d.accept, c.accept);
     if (c.detail_contains == nullptr) {
       EXPECT_TRUE(d.detail.empty()) << d.detail;
@@ -169,88 +162,6 @@ TEST(WorkerProtocol, SignalNames) {
   EXPECT_EQ(worker_signal_name(SIGKILL), "SIGKILL");
   EXPECT_EQ(worker_signal_name(SIGTERM), "SIGTERM");
   EXPECT_EQ(worker_signal_name(42), "signal 42");
-}
-
-TEST(WorkerProtocol, SharedProgressIsVisibleAcrossMappings) {
-  const std::string path = "worker_protocol_progress.tmp";
-  {
-    SharedProgress parent = SharedProgress::create(path);
-    EXPECT_EQ(parent.counter()->load(), 0u);  // create() zeroes
-
-    // Second mapping of the same file — what the worker process does.
-    SharedProgress child = SharedProgress::open(path);
-    child.counter()->store(12345);
-    EXPECT_EQ(parent.counter()->load(), 12345u);
-    parent.counter()->store(0);
-    EXPECT_EQ(child.counter()->load(), 0u);
-
-    // A fresh create() resets a leftover file.
-    child.counter()->store(99);
-    SharedProgress again = SharedProgress::create(path);
-    EXPECT_EQ(again.counter()->load(), 0u);
-  }
-  std::remove(path.c_str());
-  EXPECT_THROW(SharedProgress::open(path), std::runtime_error);
-}
-
-TEST(WorkerProtocol, SharedProgressV2FieldsRoundTrip) {
-  const std::string path = "worker_protocol_progress_v2.tmp";
-  {
-    SharedProgress parent = SharedProgress::create(path);
-    EXPECT_TRUE(same_bits(parent.load_sim_time(), 0.0));
-    EXPECT_EQ(parent.checkpoint_seq()->load(), 0u);
-
-    SharedProgress child = SharedProgress::open(path);
-    child.store_sim_time(1234.5625);  // exact in binary
-    child.checkpoint_seq()->store(7);
-    EXPECT_TRUE(same_bits(parent.load_sim_time(), 1234.5625));
-    EXPECT_EQ(parent.checkpoint_seq()->load(), 7u);
-
-    // The sim-time channel is raw IEEE bits: NaN and -0.0 survive too.
-    child.store_sim_time(-0.0);
-    EXPECT_TRUE(same_bits(parent.load_sim_time(), -0.0));
-
-    // create() wipes every v2 field, not just the event counter.
-    SharedProgress again = SharedProgress::create(path);
-    EXPECT_TRUE(same_bits(again.load_sim_time(), 0.0));
-    EXPECT_EQ(again.checkpoint_seq()->load(), 0u);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(WorkerProtocol, SharedProgressRejectsForeignHeaders) {
-  const std::string path = "worker_protocol_progress_bad.tmp";
-  const auto write_raw = [&](const std::string& bytes) {
-    std::remove(path.c_str());
-    snapshot::write_file_atomic(
-        path, std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
-  };
-  const auto expect_open_fails = [&](const char* needle) {
-    try {
-      SharedProgress sp = SharedProgress::open(path);
-      FAIL() << "open() accepted a corrupt progress file";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-          << e.what();
-    }
-  };
-
-  // Truncated: a v1-sized 8-byte counter-only file.
-  write_raw(std::string(8, '\0'));
-  expect_open_fails("a v2 block is 32");
-
-  // Right size, wrong magic.
-  write_raw(std::string(32, '\0'));
-  expect_open_fails("magic");
-
-  // Right magic ("DPRG" little-endian), future version 3.
-  std::string hdr = "DPRG";
-  hdr += '\x03';
-  hdr += std::string(27, '\0');
-  write_raw(hdr);
-  expect_open_fails("version 3");
-
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Corruption fuzz matrix: every durable file kind the sweep machinery
 // reads back (checkpoint container + the checkpoint payloads inside it,
-// manifest, sealed worker request/result, motion trace) is subjected to
+// manifest, motion trace) and every image it reads off a worker stream
+// (sealed worker request/result, dispatch frames) is subjected to
 // deterministic single-byte flips and truncations at positions swept
 // across the whole file. The contract under test: a reader either
 // succeeds (the damage hit dead bytes or free text) or throws an
@@ -177,6 +178,18 @@ TEST(CorruptionFuzz, Manifest) {
 
 TEST(CorruptionFuzz, WorkerRequestAndResult) {
   TempDir dir("fuzz_worker.tmp");
+  // The images travel inside dispatch frames, not files; the probe
+  // decodes each mutated image the way a worker or parent would and, as
+  // the frame loops do, names the stream (here: the scratch file).
+  const auto decodes = [](auto decode) {
+    return [decode](const std::string& p) {
+      try {
+        decode(slurp(p));
+      } catch (const std::exception& e) {
+        throw snapshot::SnapshotError(p + ": " + e.what());
+      }
+    };
+  };
 
   WorkerRequest req;
   req.config = small_config(21);
@@ -184,11 +197,10 @@ TEST(CorruptionFuzz, WorkerRequestAndResult) {
   req.checkpoint_path = dir.path + "/checkpoints.dcc";
   req.checkpoint_spec = 3;
   req.checkpoint_every_s = 100.0;
-  req.result_path = dir.path + "/w.result";
-  req.progress_path = dir.path + "/w.progress";
-  write_worker_request(dir.path + "/w.req", req);
-  fuzz_file(slurp(dir.path + "/w.req"), dir.path + "/fuzzed.req",
-            [](const std::string& p) { read_worker_request(p); });
+  fuzz_file(encode_worker_request(req), dir.path + "/fuzzed.req",
+            decodes([](const std::vector<std::uint8_t>& image) {
+              decode_worker_request(image);
+            }));
 
   WorkerResult res;
   res.ok = true;
@@ -196,9 +208,10 @@ TEST(CorruptionFuzz, WorkerRequestAndResult) {
   res.result.generated = 100;
   res.result.delivered = 50;
   res.checkpoints_written = 2;
-  write_worker_result(dir.path + "/w.result", res);
-  fuzz_file(slurp(dir.path + "/w.result"), dir.path + "/fuzzed.result",
-            [](const std::string& p) { read_worker_result(p); });
+  fuzz_file(encode_worker_result(res), dir.path + "/fuzzed.result",
+            decodes([](const std::vector<std::uint8_t>& image) {
+              decode_worker_result(image);
+            }));
 }
 
 TEST(CorruptionFuzz, DispatchFrames) {
