@@ -1,8 +1,9 @@
 // MICRO: google-benchmark micro-benches of the library's hot paths — the
-// event queue, the FTD queue, the analytic optimizers, and a short
-// end-to-end simulation slice.
+// event queue, the FTD queue, the analytic optimizers, the random
+// streams, and a short end-to-end simulation slice.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "core/cts_window_optimizer.hpp"
@@ -102,6 +103,37 @@ void BM_FtdMath(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FtdMath);
+
+// A new stream and its first two draws: what most of a World's ~300
+// streams cost while it is built (the engine seeds and twists lazily).
+void BM_RandomStreamSeedAndDrawTwice(benchmark::State& state) {
+  std::uint64_t seed = static_cast<std::uint64_t>(state.range(0));
+  for (auto _ : state) {
+    RandomStream rs(seed++);
+    benchmark::DoNotOptimize(rs.uniform01());
+    benchmark::DoNotOptimize(rs.uniform01());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RandomStreamSeedAndDrawTwice)->Arg(1);
+
+// Steady-state draws, round-robin over 300 streams already past their
+// first block, as a running World interleaves its nodes' streams.
+void BM_RandomStreamSteadyRoundRobin(benchmark::State& state) {
+  const RandomSource source(static_cast<std::uint64_t>(state.range(0)));
+  std::vector<RandomStream> streams;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    streams.push_back(source.stream("bench", i));
+    for (int k = 0; k < 400; ++k) (void)streams.back().uniform01();
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(streams[i].uniform01());
+    if (++i == streams.size()) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RandomStreamSteadyRoundRobin)->Arg(7);
 
 // Disabled-probe overhead: the whole cost must be one null check. The
 // side-effect counter is the oracle — if the value expression ever runs

@@ -1,18 +1,27 @@
 // SCHED-SCALE: scheduler + channel scale trajectory.
 //
 // Runs the paper scenario at constant node density for n = 100 / 1k /
-// 10k / 100k sensors and reports wall-clock events/sec, so every later
-// PR can prove (or refute) hot-path speedups against the committed
-// BENCH_scheduler.json baseline (format: docs/performance.md).
+// 10k / 100k sensors and reports wall-clock events/sec, node-sim-seconds
+// per wall-second (World construction included) and peak RSS, so every
+// later PR can prove (or refute) hot-path speedups against the committed
+// BENCH_scheduler.json baseline (format: docs/performance.md). Each
+// point runs in a forked child, so its peak RSS is its own.
 //
 // Usage: scheduler_scale [--out FILE] [--max-n N]
 //   --out FILE   JSON output path (default: no JSON, stdout table only)
 //   --max-n N    largest population to run (default 100000)
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -34,6 +43,8 @@ struct Point {
   double build_wall_s = 0.0;
   double run_wall_s = 0.0;
   double events_per_sec = 0.0;
+  double node_sim_s_per_s = 0.0;
+  double peak_rss_mb = 0.0;
 };
 
 Point run_point(int n, double sim_duration_s) {
@@ -62,6 +73,51 @@ Point run_point(int n, double sim_duration_s) {
   p.events = world.sim().events_executed();
   p.events_per_sec =
       p.run_wall_s > 0 ? static_cast<double>(p.events) / p.run_wall_s : 0.0;
+  const double wall = p.build_wall_s + p.run_wall_s;
+  p.node_sim_s_per_s = wall > 0 ? n * sim_duration_s / wall : 0.0;
+  return p;
+}
+
+/// run_point in a forked child, whose ru_maxrss (from wait4) becomes the
+/// point's peak_rss_mb: no point inherits a larger one's heap.
+Point run_point_in_child(int n, double sim_duration_s) {
+  int fds[2];
+  if (::pipe(fds) != 0) throw std::runtime_error("pipe failed");
+  std::fflush(stdout);
+  const pid_t pid = ::fork();
+  if (pid < 0) throw std::runtime_error("fork failed");
+  if (pid == 0) {
+    ::close(fds[0]);
+    int rc = 1;
+    try {
+      const Point p = run_point(n, sim_duration_s);
+      if (::write(fds[1], &p, sizeof p) == static_cast<ssize_t>(sizeof p))
+        rc = 0;
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "scheduler_scale: n=%d: %s\n", n, e.what());
+    }
+    ::_exit(rc);
+  }
+  ::close(fds[1]);
+  Point p;
+  std::size_t got = 0;
+  while (got < sizeof p) {
+    const ssize_t r =
+        ::read(fds[0], reinterpret_cast<char*>(&p) + got, sizeof p - got);
+    if (r > 0) {
+      got += static_cast<std::size_t>(r);
+    } else if (r == 0 || errno != EINTR) {
+      break;
+    }
+  }
+  ::close(fds[0]);
+  int status = 0;
+  rusage ru{};
+  while (::wait4(pid, &status, 0, &ru) < 0 && errno == EINTR) {
+  }
+  if (got != sizeof p || !WIFEXITED(status) || WEXITSTATUS(status) != 0)
+    throw std::runtime_error("scale point n=" + std::to_string(n) + " failed");
+  p.peak_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB
   return p;
 }
 
@@ -75,7 +131,10 @@ void write_json(const std::string& path, const std::vector<Point>& points) {
         << ", \"events\": " << p.events << ", \"build_wall_s\": "
         << p.build_wall_s << ", \"run_wall_s\": " << p.run_wall_s
         << ", \"events_per_sec\": " << static_cast<std::uint64_t>(p.events_per_sec)
-        << "}" << (i + 1 < points.size() ? "," : "") << "\n";
+        << ", \"node_sim_s_per_s\": "
+        << static_cast<std::uint64_t>(p.node_sim_s_per_s)
+        << ", \"peak_rss_mb\": " << p.peak_rss_mb << "}"
+        << (i + 1 < points.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
 }
@@ -104,14 +163,17 @@ int main(int argc, char** argv) {
 
   std::vector<Point> points;
   std::cout << "SCHED-SCALE: events/sec at constant density (OPT, seed 42)\n";
-  std::cout << "       n     sim_s        events   build_s     run_s    events/s\n";
+  std::cout << "       n     sim_s        events   build_s     run_s    events/s"
+               "  node-sim-s/s  peak_rss_mb\n";
   for (const auto& [n, dur] : schedule) {
     if (n > max_n) continue;
-    const Point p = run_point(n, dur);
+    const Point p = run_point_in_child(n, dur);
     points.push_back(p);
-    std::printf("%8d  %8.0f  %12llu  %8.2f  %8.2f  %10.0f\n", p.n,
-                p.sim_duration_s, static_cast<unsigned long long>(p.events),
-                p.build_wall_s, p.run_wall_s, p.events_per_sec);
+    std::printf("%8d  %8.0f  %12llu  %8.2f  %8.2f  %10.0f  %12.0f  %11.1f\n",
+                p.n, p.sim_duration_s,
+                static_cast<unsigned long long>(p.events), p.build_wall_s,
+                p.run_wall_s, p.events_per_sec, p.node_sim_s_per_s,
+                p.peak_rss_mb);
   }
   if (!out_path.empty()) write_json(out_path, points);
   return 0;

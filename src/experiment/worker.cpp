@@ -123,9 +123,12 @@ namespace {
 /// byte for byte. A heartbeat thread streams the attempt's live progress
 /// back every lease/4 (clamped to [0.05, 5] s); a frozen event counter
 /// (SIGSTOP, wedged sim) stops extending the lease even though frames
-/// keep flowing. A spawned local worker resumes from, checkpoints into
-/// and on a bad image erases the spec's container entry; a remote grant
-/// carries no container, so its spec runs from scratch, uncheckpointed.
+/// keep flowing. A failed heartbeat means the parent is gone: it aborts
+/// the attempt (a wedged `hang@` polls the flag too), so an orphaned
+/// worker exits instead of running on. A spawned local worker resumes
+/// from, checkpoints into and on a bad image erases the spec's container
+/// entry; a remote grant carries no container, so its spec runs from
+/// scratch, uncheckpointed.
 WorkerResult run_leased_spec(
     const GrantItem& item, std::uint64_t lease_id, double lease_secs,
     const std::function<void(const std::vector<std::uint8_t>&)>& send) {
@@ -148,6 +151,7 @@ WorkerResult run_leased_spec(
   std::atomic<std::uint64_t> events{0};
   std::atomic<std::uint64_t> time_bits{0};
   std::atomic<std::uint64_t> seq{0};
+  std::atomic<bool> orphaned{false};
   std::mutex hb_mu;
   std::condition_variable hb_cv;
   bool hb_stop = false;
@@ -161,7 +165,8 @@ WorkerResult run_leased_spec(
         send(encode_heartbeat_frame(lease_id, item.spec, events.load(),
                                     time_bits.load(), seq.load()));
       } catch (const std::exception&) {
-        return;  // socket gone; the main loop will notice on its own
+        orphaned.store(true);  // the result send will fail too
+        return;
       }
       lock.lock();
     }
@@ -170,6 +175,7 @@ WorkerResult run_leased_spec(
   AttemptHooks hooks;
   hooks.image = &image;
   hooks.progress = {&events, &time_bits, &seq};
+  hooks.abort = &orphaned;
   AttemptOutput out;
   try {
     run_attempt(req, hooks, out);

@@ -1,6 +1,7 @@
 #include "sim/random.hpp"
 
 #include <algorithm>
+#include <random>
 #include <stdexcept>
 
 namespace dftmsn {
@@ -30,12 +31,37 @@ bool RandomStream::bernoulli(double p) {
   return uniform01() < clamped;
 }
 
+// A World holds about three streams per sensor: the lazy state must not
+// make one larger than a stream wrapping the standard library's engine.
+static_assert(sizeof(RandomStream) == 2520);
+
+void RandomStream::CountingEngine::seed_through(std::uint32_t end) {
+  for (std::uint32_t i = seeded_; i < end; ++i)
+    x_[i] = f * (x_[i - 1] ^ (x_[i - 1] >> (w - 2))) + i;
+  seeded_ = end;
+}
+
+std::uint64_t RandomStream::CountingEngine::operator()() {
+  constexpr std::uint64_t upper = ~std::uint64_t{0} << r;
+  ++draws_;
+  const std::uint32_t k = p_;
+  if (seeded_ < n) seed_through(std::min(k + m + 1, n));
+  const std::uint32_t next = k + 1 < n ? k + 1 : 0;
+  const std::uint64_t y = (x_[k] & upper) | (x_[next] & ~upper);
+  x_[k] = x_[k < n - m ? k + m : k + m - n] ^ (y >> 1) ^ ((y & 1) ? a : 0);
+  p_ = next;
+
+  std::uint64_t z = x_[k];
+  z ^= (z >> u) & d;
+  z ^= (z << s) & b;
+  z ^= (z << t) & c;
+  return z ^ (z >> l);
+}
+
 void RandomStream::CountingEngine::restore(std::uint64_t seed,
                                            std::uint64_t draws) {
-  seed_ = seed;
-  draws_ = draws;
-  mt_.seed(seed);
-  mt_.discard(draws);
+  *this = CountingEngine(seed);
+  for (std::uint64_t i = 0; i < draws; ++i) (void)(*this)();
 }
 
 void RandomStream::save_state(snapshot::Writer& w) const {

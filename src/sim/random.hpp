@@ -2,15 +2,19 @@
 // adding a new random draw in one subsystem does not perturb another.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <random>
 #include <string_view>
 
 #include "snapshot/snapshot_io.hpp"
 
 namespace dftmsn {
 
-/// One random stream: thin, convenience-wrapped mt19937_64.
+/// One random stream: an MT19937-64 (the standard library's mt19937_64
+/// sequence, word for word) behind the distributions the simulator draws
+/// from.
+/// Building a stream computes nothing: the engine seeds and twists its
+/// state lazily, as words are drawn.
 class RandomStream {
  public:
   explicit RandomStream(std::uint64_t seed) : engine_(seed) {}
@@ -34,36 +38,60 @@ class RandomStream {
   /// and the number of 64-bit words drawn since (u64 seed, u64 draws).
   /// For one seed, equal draw counts mean identical engine state, so two
   /// same-seed streams serialize identically exactly when they would
-  /// continue identically. Loading reseeds and discards `draws` words,
-  /// so a restored stream continues the original draw sequence
+  /// continue identically. Loading reseeds and steps the engine `draws`
+  /// words, so a restored stream continues the original draw sequence
   /// bit-for-bit.
   void save_state(snapshot::Writer& w) const;
   void load_state(snapshot::Reader& r);
 
  private:
-  /// mt19937_64 that counts the words drawn from it. The distributions
+  /// MT19937-64 that counts the words drawn from it. The distributions
   /// draw only through it, so no draw can escape the count.
+  ///
+  /// Draw k twists state word k % n in place instead of twisting all n
+  /// words when the block starts. The batch twist updates the words in
+  /// index order, so word k reads the same values either way: x[k+1] and
+  /// x[k+m] not yet twisted in this block (x[k+m-n] already twisted once
+  /// k >= n-m; k = n-1 reads the new x[0]). In the first block the seed
+  /// recurrence runs only as far as the next twist reads, so a stream
+  /// that is never drawn from never computes its state.
   class CountingEngine {
    public:
-    using result_type = std::mt19937_64::result_type;
+    using result_type = std::uint64_t;
 
-    explicit CountingEngine(std::uint64_t seed) : seed_(seed), mt_(seed) {}
+    explicit CountingEngine(std::uint64_t seed) : seed_(seed) { x_[0] = seed; }
 
-    static constexpr result_type min() { return std::mt19937_64::min(); }
-    static constexpr result_type max() { return std::mt19937_64::max(); }
-    result_type operator()() {
-      ++draws_;
-      return mt_();
-    }
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type operator()();
 
     [[nodiscard]] std::uint64_t seed() const { return seed_; }
     [[nodiscard]] std::uint64_t draws() const { return draws_; }
     void restore(std::uint64_t seed, std::uint64_t draws);
 
    private:
+    // The MT19937-64 parameters, named as in [rand.eng.mers].
+    static constexpr unsigned w = 64;
+    static constexpr std::uint32_t n = 312, m = 156;
+    static constexpr unsigned r = 31;
+    static constexpr std::uint64_t a = 0xB5026F5AA96619E9ULL;
+    static constexpr unsigned u = 29;
+    static constexpr std::uint64_t d = 0x5555555555555555ULL;
+    static constexpr unsigned s = 17;
+    static constexpr std::uint64_t b = 0x71D67FFFEDA60000ULL;
+    static constexpr unsigned t = 37;
+    static constexpr std::uint64_t c = 0xFFF7EEE000000000ULL;
+    static constexpr unsigned l = 43;
+    static constexpr std::uint64_t f = 6364136223846793005ULL;
+
+    /// Runs the seed recurrence until x[0, end) hold seed values.
+    void seed_through(std::uint32_t end);
+
     std::uint64_t seed_;
     std::uint64_t draws_ = 0;
-    std::mt19937_64 mt_;
+    std::uint32_t p_ = 0;       ///< the word the next draw twists
+    std::uint32_t seeded_ = 1;  ///< x[0, seeded_) hold seed values
+    std::array<std::uint64_t, n> x_{};
   };
 
   CountingEngine engine_;

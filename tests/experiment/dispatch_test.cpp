@@ -1,11 +1,13 @@
 // Dispatch-plane suite (docs/distributed_sweeps.md): the wire frame
 // codec (round-trips, partial prefixes, damage rejection), the lease
 // machinery against real loopback sockets (expiry without progress,
-// requeue, duplicate-result idempotency, heartbeat-gated extension),
-// and the headline robustness contract — a dispatched sweep's manifest
+// requeue, duplicate-result idempotency, heartbeat-gated extension), a
+// worker whose parent hangs up mid-attempt exiting instead of running
+// on, and the headline robustness contract — a dispatched sweep's manifest
 // is byte-identical to an in-process run of the same specs.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -429,6 +431,47 @@ TEST(DispatchQueue, HeartbeatsExtendLeaseOnlyWithEventProgress) {
                              g2.items[0].attempt, encode_worker_result(ok)));
   dispatcher.join();
   EXPECT_TRUE(done.load());
+}
+
+/// Plays the parent's side of one grant over `fd`: takes the worker's
+/// hello and request, grants `req` on a 0.2 s lease, and waits for the
+/// attempt's first heartbeat. A failed ASSERT returns from here only, so
+/// the caller still hangs up and joins its worker thread.
+void grant_and_await_heartbeat(int fd, const WorkerRequest& req) {
+  std::vector<std::uint8_t> buf;
+  WireFrame f;
+  ASSERT_TRUE(read_frame(fd, buf, "test peer", &f));
+  ASSERT_EQ(f.type, FrameType::kHello);
+  ASSERT_TRUE(read_frame(fd, buf, "test peer", &f));
+  ASSERT_EQ(f.type, FrameType::kRequest);
+  const auto grant = encode_grant_frame(
+      7, 0.2, {GrantItem{0, 0, encode_worker_request(req)}});
+  net::write_full(fd, grant.data(), grant.size());
+  ASSERT_TRUE(read_frame(fd, buf, "test peer", &f));
+  ASSERT_EQ(f.type, FrameType::kHeartbeat);
+}
+
+TEST(DispatchQueue, WorkerAbandonsAttemptWhenPeerHangsUp) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::atomic<int> rc{-1};
+  std::thread worker([&] { rc.store(serve_worker(fds[1])); });
+
+  // The attempt wedges for a minute of wall time in its first event.
+  WorkerRequest req;
+  req.config = small_config(52);
+  req.config.faults.plan = "hang@1:for=60";
+  grant_and_await_heartbeat(fds[0], req);
+  ::close(fds[0]);  // the parent dies mid-attempt
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (rc.load() == -1 && std::chrono::steady_clock::now() < deadline)
+    sleep_ms(5);
+  EXPECT_NE(rc.load(), -1)
+      << "an orphaned worker must not sit out its stalled attempt";
+  worker.join();
+  EXPECT_NE(rc.load(), kWorkerExitOk);
 }
 
 // --- end-to-end byte identity ------------------------------------------

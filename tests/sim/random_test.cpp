@@ -4,6 +4,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -156,6 +158,109 @@ TEST(RandomStreamState, TruncatedRngSectionThrows) {
     const std::vector<std::uint8_t> cut(
         full.begin(), full.begin() + static_cast<std::ptrdiff_t>(len));
     EXPECT_THROW(load(target, cut), snapshot::SnapshotError) << "len=" << len;
+  }
+}
+
+// --- RandomStreamDiff: the lazily seeded twister against std::mt19937_64.
+// The draw counts straddle every place the lazy engine differs from the
+// batch one: the first draw (seeds only what the first twist reads), the
+// last draw that extends the seed recurrence (155), the switch from
+// reading x[k+156] to x[k-156] (156), the last word of a block (311
+// reads the new x[0]) and the first two block boundaries.
+
+constexpr std::uint64_t kDiffCounts[] = {0,   1,   155, 156, 157,  311,
+                                         312, 313, 623, 624, 625, 100000};
+
+std::vector<std::uint64_t> diff_seeds() {
+  std::vector<std::uint64_t> seeds = {0, 1, 5489, ~std::uint64_t{0}};
+  std::uint64_t x = 0x243f6a8885a308d3ULL;
+  while (seeds.size() < 32) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    seeds.push_back(x ^ (x >> 29));
+  }
+  return seeds;
+}
+
+/// Draws `k` uniform01 values from both and checks that their bits agree.
+void expect_same_uniforms(RandomStream& rs, std::mt19937_64& oracle,
+                          std::uint64_t k, const char* what) {
+  std::uniform_real_distribution<double> dist(0.0, 1.0);
+  for (std::uint64_t i = 0; i < k; ++i)
+    ASSERT_EQ(bits(rs.uniform01()), bits(dist(oracle))) << what << " i=" << i;
+}
+
+/// Walks a seed's stream and its oracle through every draw up to the
+/// largest count, comparing each uniform01, and calls at(k, rs, oracle)
+/// once k words are drawn, for each k in kDiffCounts.
+template <typename At>
+void walk_counts(std::uint64_t seed, const At& at) {
+  RandomStream rs(seed);
+  std::mt19937_64 oracle(seed);
+  std::uint64_t drawn = 0;
+  for (const std::uint64_t k : kDiffCounts) {
+    expect_same_uniforms(rs, oracle, k - drawn, "walk");
+    drawn = k;
+    at(k, rs, oracle);
+  }
+}
+
+TEST(RandomStreamDiff, DistributionsMatchTheOracleAtEachCount) {
+  for (const std::uint64_t seed : diff_seeds()) {
+    SCOPED_TRACE(seed);
+    walk_counts(seed, [](std::uint64_t k, const RandomStream& rs,
+                         const std::mt19937_64& oracle) {
+      RandomStream a = rs;
+      std::mt19937_64 o = oracle;
+      constexpr int lo = std::numeric_limits<int>::min();
+      constexpr int hi = std::numeric_limits<int>::max();
+      for (int i = 0; i < 50; ++i) {
+        ASSERT_EQ(a.uniform_int(-5, 1000),
+                  std::uniform_int_distribution<int>(-5, 1000)(o))
+            << "k=" << k;
+        // The widest range: the most rejections the distribution makes.
+        ASSERT_EQ(a.uniform_int(lo, hi),
+                  std::uniform_int_distribution<int>(lo, hi)(o))
+            << "k=" << k;
+        ASSERT_EQ(bits(a.exponential(120.0)),
+                  bits(std::exponential_distribution<double>(1.0 / 120.0)(o)))
+            << "k=" << k;
+        ASSERT_EQ(bits(a.uniform(-3.0, 8.5)),
+                  bits(std::uniform_real_distribution<double>(-3.0, 8.5)(o)))
+            << "k=" << k;
+      }
+      // The distributions drew exactly as many words as the oracle's.
+      expect_same_uniforms(a, o, 3, "after distributions");
+    });
+  }
+}
+
+TEST(RandomStreamDiff, CopyTakenMidFirstBlockContinuesExactly) {
+  for (const std::uint64_t seed : diff_seeds()) {
+    SCOPED_TRACE(seed);
+    for (const std::uint64_t k : {0, 1, 100, 155, 156, 200, 311}) {
+      RandomStream rs(seed);
+      std::mt19937_64 oracle(seed);
+      expect_same_uniforms(rs, oracle, k, "prefix");
+      RandomStream copy = rs;
+      std::mt19937_64 oracle_copy = oracle;
+      expect_same_uniforms(rs, oracle, 700, "original");
+      expect_same_uniforms(copy, oracle_copy, 700, "copy");
+    }
+  }
+}
+
+TEST(RandomStreamDiff, LoadStateAtEachCountContinuesTheOracle) {
+  for (const std::uint64_t seed : diff_seeds()) {
+    SCOPED_TRACE(seed);
+    walk_counts(seed, [seed](std::uint64_t k, const RandomStream& rs,
+                             const std::mt19937_64& oracle) {
+      RandomStream loaded(seed ^ 0x5a5a);  // mid-block, another seed
+      (void)loaded.uniform01();
+      load(loaded, saved(rs));
+      EXPECT_EQ(saved(loaded), saved(rs)) << "k=" << k;
+      std::mt19937_64 o = oracle;
+      expect_same_uniforms(loaded, o, 400, "loaded");
+    });
   }
 }
 
