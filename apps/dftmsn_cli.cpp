@@ -131,9 +131,8 @@ int usage(int code) {
       "                    with --isolate process and --checkpoint-every\n"
       "  --dispatch-bind A bind address for --dispatch-port\n"
       "                    (default 127.0.0.1)\n"
-      "  --lease-secs S    lease duration per granted batch; heartbeats\n"
+      "  --lease-secs S    lease duration per granted spec; heartbeats\n"
       "                    showing event progress extend it (default 30)\n"
-      "  --batch-size N    specs granted per lease (default 1)\n"
       "  --connect H:P     run as a pull-mode dispatch worker against the\n"
       "                    dispatcher at H:P until the sweep is done\n"
       "live status (purely observational; see docs/observability.md):\n"
@@ -477,15 +476,6 @@ int main(int argc, char** argv) {
       sup.dispatch.lease_secs = std::atof(next().c_str());
       if (sup.dispatch.lease_secs <= 0.0) {
         std::cerr << "--lease-secs must be > 0\n";
-        return 2;
-      }
-      supervised = true;
-      continue;
-    }
-    if (arg == "--batch-size") {
-      sup.dispatch.batch_size = std::atoi(next().c_str());
-      if (sup.dispatch.batch_size < 1) {
-        std::cerr << "--batch-size must be >= 1\n";
         return 2;
       }
       supervised = true;

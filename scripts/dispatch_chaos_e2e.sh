@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Dispatch chaos end-to-end: a sweep served through the lease-based work
 # queue (--dispatch-port, docs/distributed_sweeps.md) must survive
-# workers being SIGKILLed mid-batch, SIGSTOPped past their lease
+# workers being SIGKILLed mid-spec, SIGSTOPped past their lease
 # deadline, and severed mid-connection — and still produce a manifest
 # and a --report-json byte-identical to clean in-process runs at
 # --jobs 1 and --jobs 4. That is the whole robustness contract in one
@@ -73,12 +73,12 @@ cmp "$WORK/ref1.json" "$WORK/clean.json" \
 # Short leases so the SIGSTOPped worker's frozen heartbeat counter lets
 # its lease lapse within the test budget. The status plane rides along
 # so the final status.json proves the lease machinery actually engaged.
-start_dispatcher chaos --lease-secs 1 --batch-size 2 --status-every 0.2
+start_dispatcher chaos --lease-secs 1 --status-every 0.2
 
 "$CLI" --connect "127.0.0.1:$PORT" > "$WORK/chaos.a.txt" 2>&1 &
 WA=$!   # honest
 "$CLI" --connect "127.0.0.1:$PORT" > "$WORK/chaos.b.txt" 2>&1 &
-WB=$!   # SIGKILLed mid-batch
+WB=$!   # SIGKILLed mid-spec
 "$CLI" --connect "127.0.0.1:$PORT" > "$WORK/chaos.c.txt" 2>&1 &
 WC=$!   # SIGSTOPped past its lease deadline, SIGCONTed near the end
 DFTMSN_DISPATCH_DROP_AFTER=1 \
@@ -114,7 +114,7 @@ grep -q 'completed=8' "$WORK/chaos.txt" \
 # above proves less than it claims: at least one requeue (the SIGKILLed
 # and severed workers both lose leases) in the final status document.
 grep -q '"requeues": 0' "$WORK/chaos/status.json" \
-  && fail "chaos run never requeued a batch — the chaos did not bite"
+  && fail "chaos run never requeued a spec — the chaos did not bite"
 grep -q '"dispatch"' "$WORK/chaos/status.json" \
   || fail "chaos status.json carries no dispatch section"
 

@@ -113,14 +113,15 @@ std::string to_str(const T& v) {
     #path, [](Config& c, const std::string& v) {                          \
       c.path = static_cast<type>(parse_int(#path, v));                    \
     },                                                                    \
-        [](const Config& c) { return to_str(c.path); }                    \
+        [](const Config& c) { return to_str(c.path); }, nullptr, nullptr  \
   }
 #define DFTMSN_FIELD_B(path)                                              \
   Field {                                                                 \
     #path, [](Config& c, const std::string& v) {                          \
       c.path = parse_bool(#path, v);                                      \
     },                                                                    \
-        [](const Config& c) { return c.path ? "true" : "false"; }         \
+        [](const Config& c) { return c.path ? "true" : "false"; },        \
+        nullptr, nullptr                                                  \
   }
 
 const std::vector<Field>& fields() {
@@ -182,12 +183,13 @@ const std::vector<Field>& fields() {
       // containing '=' (node=3,...) pass through intact.
       Field{"faults.plan",
             [](Config& c, const std::string& v) { c.faults.plan = v; },
-            [](const Config& c) { return c.faults.plan; }},
+            [](const Config& c) { return c.faults.plan; }, nullptr, nullptr},
       // Free-form path; existence/readability is checked at config-file
       // load time (below) and again when the World loads the trace.
       Field{"scenario.trace_path",
             [](Config& c, const std::string& v) { c.scenario.trace_path = v; },
-            [](const Config& c) { return c.scenario.trace_path; }},
+            [](const Config& c) { return c.scenario.trace_path; }, nullptr,
+            nullptr},
       // Enumerated fields need custom parsers.
       Field{"scenario.mobility",
             [](Config& c, const std::string& v) {
@@ -195,7 +197,8 @@ const std::vector<Field>& fields() {
             },
             [](const Config& c) {
               return std::string(mobility_kind_name(c.scenario.mobility));
-            }},
+            },
+            nullptr, nullptr},
       Field{"protocol.queue_policy",
             [](Config& c, const std::string& v) {
               c.protocol.queue_policy =
@@ -203,7 +206,8 @@ const std::vector<Field>& fields() {
             },
             [](const Config& c) {
               return policy_name(c.protocol.queue_policy);
-            }},
+            },
+            nullptr, nullptr},
   };
   return kFields;
 }

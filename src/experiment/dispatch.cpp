@@ -60,14 +60,6 @@ std::uint64_t get_u64(const std::uint8_t* p) {
   return v;
 }
 
-std::string blob_str(const std::vector<std::uint8_t>& b) {
-  return std::string(b.begin(), b.end());
-}
-
-std::vector<std::uint8_t> str_blob(const std::string& s) {
-  return std::vector<std::uint8_t>(s.begin(), s.end());
-}
-
 std::vector<std::uint8_t> frame_payload(FrameType type,
                                         const snapshot::Writer& w) {
   const std::vector<std::uint8_t>& payload = w.bytes();
@@ -118,18 +110,11 @@ std::vector<std::uint8_t> encode_request_frame() {
   return frame_payload(FrameType::kRequest, w);
 }
 
-std::vector<std::uint8_t> encode_grant_frame(
-    std::uint64_t lease_id, double lease_secs,
-    const std::vector<GrantItem>& items) {
+std::vector<std::uint8_t> encode_grant_frame(double lease_secs,
+                                             const WorkerRequest& request) {
   snapshot::Writer w;
-  w.u64(lease_id);
   w.f64(lease_secs);
-  w.u64(items.size());
-  for (const GrantItem& it : items) {
-    w.u64(it.spec);
-    w.i64(it.attempt);
-    w.str(blob_str(it.request));
-  }
+  save_worker_request(request, w);
   return frame_payload(FrameType::kGrant, w);
 }
 
@@ -139,22 +124,20 @@ std::vector<std::uint8_t> encode_nowork_frame(bool done) {
   return frame_payload(FrameType::kNoWork, w);
 }
 
-std::vector<std::uint8_t> encode_result_frame(
-    std::uint64_t lease_id, std::uint64_t spec, std::int64_t attempt,
-    const std::vector<std::uint8_t>& sealed_result) {
+std::vector<std::uint8_t> encode_result_frame(std::uint64_t spec,
+                                              std::int64_t attempt,
+                                              const WorkerResult& result) {
   snapshot::Writer w;
-  w.u64(lease_id);
   w.u64(spec);
   w.i64(attempt);
-  w.str(blob_str(sealed_result));
+  save_worker_result(result, w);
   return frame_payload(FrameType::kResult, w);
 }
 
 std::vector<std::uint8_t> encode_heartbeat_frame(
-    std::uint64_t lease_id, std::uint64_t spec, std::uint64_t events,
-    std::uint64_t sim_time_bits, std::uint64_t checkpoint_seq) {
+    std::uint64_t spec, std::uint64_t events, std::uint64_t sim_time_bits,
+    std::uint64_t checkpoint_seq) {
   snapshot::Writer w;
-  w.u64(lease_id);
   w.u64(spec);
   w.u64(events);
   w.u64(sim_time_bits);
@@ -199,33 +182,19 @@ std::size_t try_extract_frame(const std::uint8_t* data, std::size_t len,
       case FrameType::kRequest:
         (void)r.u8();
         break;
-      case FrameType::kGrant: {
-        f.lease_id = r.u64();
+      case FrameType::kGrant:
         f.lease_secs = r.f64();
-        const std::uint64_t count = r.u64();
-        if (count > (1u << 20))
-          throw SnapshotError("grant item count " + std::to_string(count));
-        f.items.reserve(static_cast<std::size_t>(count));
-        for (std::uint64_t i = 0; i < count; ++i) {
-          GrantItem it;
-          it.spec = r.u64();
-          it.attempt = r.i64();
-          it.request = str_blob(r.str());
-          f.items.push_back(std::move(it));
-        }
+        load_worker_request(f.request, r);
         break;
-      }
       case FrameType::kNoWork:
         f.done = r.u8() != 0;
         break;
       case FrameType::kResult:
-        f.lease_id = r.u64();
         f.spec = r.u64();
         f.attempt = r.i64();
-        f.result = str_blob(r.str());
+        load_worker_result(f.result, r);
         break;
       case FrameType::kHeartbeat:
-        f.lease_id = r.u64();
         f.spec = r.u64();
         f.events = r.u64();
         f.sim_time_bits = r.u64();
@@ -267,17 +236,28 @@ namespace {
 
 enum class SState : std::uint8_t { kReady, kWaiting, kLeased, kTerminal };
 
+/// Transport losses (lost connection / expired lease) do not consume the
+/// sim retry budget; they have their own generous bound so a truly
+/// cursed spec still terminates.
+constexpr int kMaxTransportRequeues = 32;
+
+/// One spec's queue state. While kLeased, `holder`, `due` and `events`
+/// are its lease: the connection that holds it, its deadline and the
+/// event count of its last progressing heartbeat.
+struct SpecState {
+  SState st = SState::kReady;
+  int attempt = 0;
+  int requeues = 0;
+  bool ever_started = false;
+  int holder = -1;
+  double due = 0.0;  ///< kWaiting: end of backoff; kLeased: lease deadline
+  std::uint64_t events = 0;
+};
+
 struct ConnState {
   std::string name;
   bool said_hello = false;
   std::vector<std::uint8_t> buf;
-};
-
-struct LeaseState {
-  int fd = -1;
-  std::vector<std::size_t> outstanding;
-  double deadline = 0.0;
-  std::map<std::size_t, std::uint64_t> last_events;
 };
 
 }  // namespace
@@ -295,16 +275,12 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
   if (board != nullptr) board->dispatch_enable();
 
   const std::size_t n = num_specs;
-  std::vector<SState> st(n, SState::kReady);
-  std::vector<int> attempt(n, 0);
-  std::vector<int> requeues(n, 0);
-  std::vector<double> ready_at(n, 0.0);
-  std::vector<char> ever_started(n, 0);
+  std::vector<SpecState> specs(n);
   std::deque<std::size_t> ready;
   std::size_t terminal = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (i < skip.size() && skip[i]) {
-      st[i] = SState::kTerminal;
+      specs[i].st = SState::kTerminal;
       ++terminal;
     } else {
       ready.push_back(i);
@@ -312,69 +288,52 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
   }
 
   std::map<int, ConnState> conns;
-  std::map<std::uint64_t, LeaseState> leases;
-  std::uint64_t next_lease_id = 1;
   telemetry::DispatchCounters counters;
 
   const auto push_board = [&] {
     if (board != nullptr) board->dispatch_update(counters);
   };
 
-  const auto worker_active = [&](int fd) {
-    std::uint64_t active = 0;
-    for (const auto& [id, lease] : leases)
-      if (lease.fd == fd) active += lease.outstanding.size();
-    return active;
-  };
-
   const auto update_worker_row = [&](int fd, bool connected) {
     if (board == nullptr) return;
     const auto it = conns.find(fd);
     if (it == conns.end() || it->second.name.empty()) return;
-    board->dispatch_worker(it->second.name, connected,
-                           connected ? worker_active(fd) : 0);
+    std::uint64_t active = 0;
+    if (connected)
+      for (const SpecState& s : specs)
+        if (s.st == SState::kLeased && s.holder == fd) ++active;
+    board->dispatch_worker(it->second.name, connected, active);
   };
 
-  // A batch lost in transit (dead/hung/partitioned worker): back on the
+  // A spec lost in transit (dead/hung/partitioned worker): back on the
   // queue under its own bounded backoff. Transport losses deliberately
   // do not consume the sim retry budget — the spec never *failed*, its
   // worker did — so a dispatched sweep's manifest retries stay
   // identical to a clean local run's.
   const auto requeue_spec = [&](std::size_t i, const std::string& reason) {
-    if (st[i] != SState::kLeased) return;
-    ++requeues[i];
+    SpecState& s = specs[i];
+    if (s.st != SState::kLeased) return;
+    ++s.requeues;
     ++counters.requeues;
-    if (requeues[i] > policy.max_transport_requeues) {
-      st[i] = SState::kTerminal;
+    if (s.requeues > kMaxTransportRequeues) {
+      s.st = SState::kTerminal;
       ++terminal;
       const std::string detail = sanitize(
-          "dispatch: batch lost " + std::to_string(requeues[i]) +
+          "dispatch: spec lost " + std::to_string(s.requeues) +
           " times (last: " + reason + ")");
-      if (cb.on_quarantined) cb.on_quarantined(i, attempt[i], detail);
+      if (cb.on_quarantined) cb.on_quarantined(i, s.attempt, detail);
       return;
     }
-    st[i] = SState::kWaiting;
-    ready_at[i] =
-        now_s() + retry_backoff_s(policy.retry_backoff_s, requeues[i]);
-    if (cb.on_requeued) cb.on_requeued(i, requeues[i], reason);
-  };
-
-  const auto release_lease = [&](std::uint64_t id, const std::string& why,
-                                 bool requeue) {
-    const auto it = leases.find(id);
-    if (it == leases.end()) return;
-    const std::vector<std::size_t> outstanding = it->second.outstanding;
-    leases.erase(it);
-    if (requeue)
-      for (const std::size_t i : outstanding) requeue_spec(i, why);
+    s.st = SState::kWaiting;
+    s.due = now_s() + retry_backoff_s(policy.retry_backoff_s, s.requeues);
+    if (cb.on_requeued) cb.on_requeued(i, s.requeues, reason);
   };
 
   const auto drop_conn = [&](int fd, const std::string& why) {
     update_worker_row(fd, false);
-    std::vector<std::uint64_t> owned;
-    for (const auto& [id, lease] : leases)
-      if (lease.fd == fd) owned.push_back(id);
-    for (const std::uint64_t id : owned) release_lease(id, why, true);
+    for (std::size_t i = 0; i < n; ++i)
+      if (specs[i].st == SState::kLeased && specs[i].holder == fd)
+        requeue_spec(i, why);
     ::close(fd);
     conns.erase(fd);
   };
@@ -389,65 +348,40 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
     }
   };
 
-  // Remove a spec from whatever lease still carries it (its own, or a
-  // re-lease that raced a slow first worker).
-  const auto detach_spec = [&](std::size_t i) {
-    for (auto& [id, lease] : leases) {
-      auto& v = lease.outstanding;
-      v.erase(std::remove(v.begin(), v.end(), i), v.end());
-    }
-    for (auto it = leases.begin(); it != leases.end();) {
-      if (it->second.outstanding.empty())
-        it = leases.erase(it);
-      else
-        ++it;
-    }
-  };
-
   const auto handle_result = [&](int fd, WireFrame&& f,
                                  const std::string& ctx) {
     if (f.spec >= n)
       throw SnapshotError(ctx + ": result for unknown spec " +
                           std::to_string(f.spec));
-    if (st[f.spec] == SState::kTerminal) {
-      // Idempotent completion: the first accepted result won; a
-      // resurrected or raced worker's duplicate is discarded by spec id.
+    SpecState& s = specs[f.spec];
+    if (s.st == SState::kTerminal || f.attempt != s.attempt) {
+      // Idempotent completion: the first accepted result won, or the
+      // attempt was already settled. A resurrected or raced worker's
+      // stale report must neither complete the spec nor fail it twice.
       ++counters.duplicates_discarded;
-      detach_spec(f.spec);
       return;
     }
-    // Validate before any state change: a torn sealed image inside a
-    // digest-clean frame is still a protocol violation.
-    WorkerResult wres;
-    try {
-      wres = decode_worker_result(f.result);
-    } catch (const std::exception& e) {
-      throw SnapshotError(ctx + ": undecodable result image for spec " +
-                          std::to_string(f.spec) + ": " + e.what());
-    }
-    detach_spec(f.spec);
-    const int a = static_cast<int>(
-        std::clamp<std::int64_t>(f.attempt, 0, 1 << 20));
-    if (wres.ok) {
-      st[f.spec] = SState::kTerminal;
+    // The current attempt is settled, whoever holds its lease now: the
+    // holder's own result will be a duplicate.
+    const int a = s.attempt;
+    if (f.result.ok) {
+      s.st = SState::kTerminal;
       ++terminal;
       ++counters.results_accepted;
-      if (cb.on_completed) cb.on_completed(f.spec, a, std::move(wres));
+      if (cb.on_completed) cb.on_completed(f.spec, a, std::move(f.result));
     } else {
       // Worker-reported simulation failure: the normal retry /
       // quarantine path, with the local loop's detail formatting.
-      const std::string detail = attempt_failure_detail(a, wres.error);
-      const int next_attempt = a + 1;
-      attempt[f.spec] = next_attempt;
-      if (next_attempt > policy.max_retries) {
-        st[f.spec] = SState::kTerminal;
+      const std::string detail = attempt_failure_detail(a, f.result.error);
+      s.attempt = a + 1;
+      if (s.attempt > policy.max_retries) {
+        s.st = SState::kTerminal;
         ++terminal;
-        if (cb.on_quarantined) cb.on_quarantined(f.spec, next_attempt, detail);
+        if (cb.on_quarantined) cb.on_quarantined(f.spec, s.attempt, detail);
       } else {
-        st[f.spec] = SState::kWaiting;
-        ready_at[f.spec] =
-            now_s() + retry_backoff_s(policy.retry_backoff_s, next_attempt);
-        if (cb.on_retrying) cb.on_retrying(f.spec, next_attempt, detail);
+        s.st = SState::kWaiting;
+        s.due = now_s() + retry_backoff_s(policy.retry_backoff_s, s.attempt);
+        if (cb.on_retrying) cb.on_retrying(f.spec, s.attempt, detail);
       }
     }
     update_worker_row(fd, true);
@@ -459,68 +393,50 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
   const auto promote_waiting = [&] {
     const double now = now_s();
     for (std::size_t i = 0; i < n; ++i)
-      if (st[i] == SState::kWaiting && ready_at[i] <= now) {
-        st[i] = SState::kReady;
+      if (specs[i].st == SState::kWaiting && specs[i].due <= now) {
+        specs[i].st = SState::kReady;
         ready.push_back(i);
       }
   };
 
   const auto handle_request = [&](int fd) {
     promote_waiting();
-    std::vector<GrantItem> items;
-    std::vector<std::size_t> granted;
-    while (!ready.empty() &&
-           granted.size() < static_cast<std::size_t>(
-                                std::max(1, opts.batch_size))) {
-      const std::size_t i = ready.front();
+    // A spec settled while it waited in the queue leaves a stale entry.
+    while (!ready.empty() && specs[ready.front()].st != SState::kReady)
       ready.pop_front();
-      if (st[i] != SState::kReady) continue;  // stale queue entry
-      GrantItem it;
-      it.spec = i;
-      it.attempt = attempt[i];
-      it.request = cb.make_request ? cb.make_request(i, attempt[i])
-                                   : std::vector<std::uint8_t>();
-      items.push_back(std::move(it));
-      granted.push_back(i);
-    }
-    if (items.empty()) {
+    if (ready.empty()) {
       send_frame(fd, encode_nowork_frame(terminal == n));
       return;
     }
-    const std::uint64_t id = next_lease_id++;
-    LeaseState lease;
-    lease.fd = fd;
-    lease.outstanding = granted;
-    lease.deadline = now_s() + opts.lease_secs;
-    for (const std::size_t i : granted) {
-      st[i] = SState::kLeased;
-      ever_started[i] = 1;
-      lease.last_events[i] = 0;
-      if (cb.on_started) cb.on_started(i, attempt[i]);
-    }
-    leases[id] = std::move(lease);
+    const std::size_t i = ready.front();
+    ready.pop_front();
+    SpecState& s = specs[i];
+    s.st = SState::kLeased;
+    s.ever_started = true;
+    s.holder = fd;
+    s.due = now_s() + opts.lease_secs;
+    s.events = 0;
+    if (cb.on_started) cb.on_started(i, s.attempt);
     ++counters.batches_granted;
-    if (send_frame(fd, encode_grant_frame(id, opts.lease_secs, items)))
+    if (send_frame(fd, encode_grant_frame(opts.lease_secs,
+                                          cb.make_request(i, s.attempt))))
       update_worker_row(fd, true);
   };
 
-  const auto handle_heartbeat = [&](const WireFrame& f) {
-    const auto it = leases.find(f.lease_id);
-    if (it == leases.end()) return;  // expired lease: heartbeat is stale
-    LeaseState& lease = it->second;
-    const auto spec_it = std::find(lease.outstanding.begin(),
-                                   lease.outstanding.end(),
-                                   static_cast<std::size_t>(f.spec));
-    if (spec_it == lease.outstanding.end()) return;
-    // Only *progressing* heartbeats extend the lease: a SIGSTOPed or
-    // wedged worker keeps the TCP stream alive but its event counter
-    // freezes, so its lease still expires and the batch is reassigned.
-    if (f.events > lease.last_events[f.spec]) {
-      lease.last_events[f.spec] = f.events;
-      lease.deadline = now_s() + opts.lease_secs;
-      if (cb.on_progress)
-        cb.on_progress(f.spec, f.events, bits_double(f.sim_time_bits));
-    }
+  const auto handle_heartbeat = [&](int fd, const WireFrame& f) {
+    if (f.spec >= n) return;
+    SpecState& s = specs[f.spec];
+    // Only the lease holder's *progressing* heartbeats extend its lease:
+    // a stale holder (its lease expired and the spec moved on) is
+    // ignored, and a SIGSTOPed or wedged worker keeps the TCP stream
+    // alive but its event counter freezes, so its lease still expires
+    // and the spec is reassigned.
+    if (s.st != SState::kLeased || s.holder != fd || f.events <= s.events)
+      return;
+    s.events = f.events;
+    s.due = now_s() + opts.lease_secs;
+    if (cb.on_progress)
+      cb.on_progress(f.spec, f.events, bits_double(f.sim_time_bits));
   };
 
   bool stopped = false;
@@ -534,17 +450,13 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
     const double now = now_s();
 
     // Expired leases: the worker crashed, hung, or was partitioned —
-    // whatever the cause, it lost the lease and the batch is requeued.
-    {
-      std::vector<std::uint64_t> expired;
-      for (const auto& [id, lease] : leases)
-        if (lease.deadline <= now) expired.push_back(id);
-      for (const std::uint64_t id : expired) {
-        ++counters.leases_expired;
-        const int fd = leases[id].fd;
-        release_lease(id, "lease expired", true);
-        update_worker_row(fd, true);
-      }
+    // whatever the cause, it lost the lease and the spec is requeued.
+    for (std::size_t i = 0; i < n; ++i) {
+      if (specs[i].st != SState::kLeased || specs[i].due > now) continue;
+      ++counters.leases_expired;
+      const int fd = specs[i].holder;
+      requeue_spec(i, "lease expired");
+      update_worker_row(fd, true);
     }
     push_board();
 
@@ -607,7 +519,7 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
               handle_result(fd, std::move(f), ctx);
               break;
             case FrameType::kHeartbeat:
-              handle_heartbeat(f);
+              handle_heartbeat(fd, f);
               break;
             default:
               throw SnapshotError(ctx + ": unexpected " +
@@ -618,7 +530,7 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
         }
       } catch (const std::exception& e) {
         // Torn/corrupt/hostile frame: named rejection, connection drop,
-        // batches requeued. Never a crash, never a wrong accept.
+        // its specs requeued. Never a crash, never a wrong accept.
         if (cb.announce)
           cb.announce(std::string("dispatch: dropping connection: ") +
                       e.what());
@@ -631,13 +543,13 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
     // External stop: surface every unfinished spec as interrupted, in
     // index order, exactly once.
     for (std::size_t i = 0; i < n; ++i) {
-      if (st[i] == SState::kTerminal) continue;
-      st[i] = SState::kTerminal;
+      if (specs[i].st == SState::kTerminal) continue;
+      specs[i].st = SState::kTerminal;
       ++terminal;
       if (cb.on_interrupted)
         cb.on_interrupted(
-            i, ever_started[i] ? "interrupted (dispatch stopped)"
-                               : std::string());
+            i, specs[i].ever_started ? "interrupted (dispatch stopped)"
+                                     : std::string());
     }
   }
 
@@ -656,7 +568,6 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
     ::close(fd);
   }
   conns.clear();
-  leases.clear();
   push_board();
   ::close(lfd);
 }

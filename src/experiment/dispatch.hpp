@@ -1,37 +1,38 @@
 // Lease-based work queue for supervised sweeps, and the framed wire
-// (worker protocol v4) every worker speaks.
+// (dispatch wire v5) every worker speaks.
 //
 // The dispatcher runs inside the sweep parent (`--dispatch-port`): it
 // listens on a TCP socket (loopback by default, bindable for LAN) and
-// hands out batches of replication specs under time-bounded leases.
-// Pull-mode workers (`dftmsn_cli --connect HOST:PORT`) request work,
-// heartbeat while running, and stream back results. The `--worker FD`
-// child of process isolation runs the same frame loop (serve_worker)
-// over an inherited socketpair, against a parent that grants it exactly
-// one spec. Every message is one *frame*:
+// grants one replication spec at a time, each under its own
+// time-bounded lease. Pull-mode workers (`dftmsn_cli --connect
+// HOST:PORT`) request work, heartbeat while running, and stream back
+// results. The `--worker FD` child of process isolation runs the same
+// frame loop (serve_worker) over an inherited socketpair, against a
+// parent that grants it exactly one spec. Every message is one *frame*:
 //
 //   offset 0  u32   magic "DFW3" (0x33574644 little-endian)
 //   offset 4  u8    frame type (FrameType)
 //   offset 5  u32   payload length (hard-capped; a hostile length field
 //                   cannot drive an allocation)
-//   offset 9  payload — snapshot::Writer-encoded fields per type
+//   offset 9  payload — snapshot::Writer-encoded fields per type; a
+//                   grant carries the WorkerRequest's fields and a
+//                   result the WorkerResult's (worker_protocol.hpp)
 //   tail      u64   FNV-1a digest of everything before it
 //
-// Spec configs and results cross the wire as sealed container images
-// (encode_worker_request / encode_worker_result), so the payloads carry
-// their own digests. A torn, truncated or tampered frame throws and
-// drops the connection — never a crash, never a silently wrong accept.
+// A torn, truncated or tampered frame throws and drops the connection —
+// never a crash, never a silently wrong accept.
 //
 // Failure semantics (docs/distributed_sweeps.md):
 //  - crash / hang / partition: the worker stops heartbeating (or its
 //    heartbeats stop showing progress), the lease expires, and the
-//    batch is requeued with bounded backoff. Transport losses do not
+//    spec is requeued with bounded backoff. Transport losses do not
 //    consume the spec's simulation retry budget.
 //  - simulation failure (the worker *reports* an error result): the
 //    normal retry/quarantine path, identical to the local modes.
 //  - duplicates: completion is idempotent — the first accepted result
-//    per spec wins; later results for a terminal spec are discarded by
-//    spec id (a resurrected worker cannot double-publish).
+//    per spec wins; a later result for a terminal spec, or for an
+//    attempt the spec has moved past, is discarded (a resurrected worker
+//    can neither double-publish nor fail a spec twice).
 #pragma once
 
 #include <atomic>
@@ -52,8 +53,7 @@ class StatusBoard;
 struct DispatchOptions {
   int port = -1;                  ///< -1: dispatch off; 0: ephemeral port
   std::string bind = "127.0.0.1";
-  double lease_secs = 30.0;       ///< heartbeat-extended lease duration
-  int batch_size = 1;             ///< specs granted per lease
+  double lease_secs = 30.0;       ///< heartbeat-extended lease per spec
   /// Test hook: the bound port is published here once listening (the
   /// CLI announces it on stdout instead).
   std::atomic<int>* port_out = nullptr;
@@ -66,26 +66,17 @@ inline constexpr std::size_t kDispatchFrameTrailer = 8;
 inline constexpr std::size_t kMaxDispatchPayload = 64u << 20;
 
 /// Version a worker announces in its hello frame; must match the
-/// dispatcher's build (the sealed payload images carry the worker
-/// protocol version gate on top of this). v4: heartbeats carry the
-/// checkpoint sequence.
-inline constexpr std::uint32_t kDispatchWireVersion = 4;
+/// dispatcher's build. v5: one spec per grant, the request and result
+/// fields inline, no lease ids.
+inline constexpr std::uint32_t kDispatchWireVersion = 5;
 
 enum class FrameType : std::uint8_t {
   kHello = 1,      ///< worker -> dispatcher: version + worker name
-  kRequest = 2,    ///< worker -> dispatcher: give me a batch
-  kGrant = 3,      ///< dispatcher -> worker: lease + spec batch
+  kRequest = 2,    ///< worker -> dispatcher: give me a spec
+  kGrant = 3,      ///< dispatcher -> worker: lease + one spec's request
   kNoWork = 4,     ///< dispatcher -> worker: nothing now (done=sweep over)
-  kResult = 5,     ///< worker -> dispatcher: one spec's sealed result
+  kResult = 5,     ///< worker -> dispatcher: one spec's result
   kHeartbeat = 6,  ///< worker -> dispatcher: liveness + progress
-};
-
-/// One spec of a lease grant: the sealed worker-request image plus the
-/// identifiers the worker echoes back with its result.
-struct GrantItem {
-  std::uint64_t spec = 0;
-  std::int64_t attempt = 0;
-  std::vector<std::uint8_t> request;  ///< sealed encode_worker_request image
 };
 
 /// A decoded frame; only the fields of `type` are meaningful.
@@ -94,34 +85,31 @@ struct WireFrame {
   // kHello
   std::uint32_t version = 0;
   std::string worker_name;
-  // kGrant / kResult / kHeartbeat
-  std::uint64_t lease_id = 0;
+  // kGrant
   double lease_secs = 0.0;
-  std::vector<GrantItem> items;
+  WorkerRequest request;
   // kNoWork
   bool done = false;
   // kResult / kHeartbeat
   std::uint64_t spec = 0;
-  std::int64_t attempt = 0;
-  std::vector<std::uint8_t> result;  ///< sealed encode_worker_result image
-  std::uint64_t events = 0;
-  std::uint64_t sim_time_bits = 0;
+  std::int64_t attempt = 0;          ///< kResult
+  WorkerResult result;               ///< kResult
+  std::uint64_t events = 0;          ///< kHeartbeat
+  std::uint64_t sim_time_bits = 0;   ///< kHeartbeat
   std::uint64_t checkpoint_seq = 0;  ///< kHeartbeat: checkpoints so far
 };
 
 std::vector<std::uint8_t> encode_hello_frame(const std::string& worker_name);
 std::vector<std::uint8_t> encode_request_frame();
-std::vector<std::uint8_t> encode_grant_frame(std::uint64_t lease_id,
-                                             double lease_secs,
-                                             const std::vector<GrantItem>& items);
+std::vector<std::uint8_t> encode_grant_frame(double lease_secs,
+                                             const WorkerRequest& request);
 std::vector<std::uint8_t> encode_nowork_frame(bool done);
-std::vector<std::uint8_t> encode_result_frame(std::uint64_t lease_id,
-                                              std::uint64_t spec,
+std::vector<std::uint8_t> encode_result_frame(std::uint64_t spec,
                                               std::int64_t attempt,
-                                              const std::vector<std::uint8_t>& sealed_result);
+                                              const WorkerResult& result);
 std::vector<std::uint8_t> encode_heartbeat_frame(
-    std::uint64_t lease_id, std::uint64_t spec, std::uint64_t events,
-    std::uint64_t sim_time_bits, std::uint64_t checkpoint_seq = 0);
+    std::uint64_t spec, std::uint64_t events, std::uint64_t sim_time_bits,
+    std::uint64_t checkpoint_seq = 0);
 
 /// Tries to extract one complete frame from the front of `data`.
 /// Returns 0 when more bytes are needed, else the number of bytes
@@ -153,10 +141,6 @@ std::string attempt_failure_detail(int attempt, const std::string& error);
 struct DispatchPolicy {
   int max_retries = 2;          ///< simulation-failure retry budget
   double retry_backoff_s = 0.05;
-  /// Transport losses (lost connection / expired lease) do not consume
-  /// the sim retry budget; they have their own generous bound so a
-  /// truly cursed spec still terminates.
-  int max_transport_requeues = 32;
   const std::atomic<bool>* stop = nullptr;
 };
 
@@ -164,8 +148,9 @@ struct DispatchPolicy {
 /// callbacks fire on the dispatcher's (single) thread, in spec index
 /// submission order for make_request and acceptance order otherwise.
 struct DispatchCallbacks {
-  /// Sealed worker-request image for (spec, attempt).
-  std::function<std::vector<std::uint8_t>(std::size_t, int)> make_request;
+  /// The request for attempt `attempt` of spec i (required; its `spec`
+  /// and `attempt` fields are the ones the worker echoes back).
+  std::function<WorkerRequest(std::size_t, int)> make_request;
   /// Spec granted under a lease; `attempt` is its sim attempt number.
   std::function<void(std::size_t, int)> on_started;
   /// Result accepted: spec completed on `attempt` with this decoded,
@@ -181,7 +166,7 @@ struct DispatchCallbacks {
   std::function<void(std::size_t, const std::string&)> on_interrupted;
   /// A sim-failure retry is scheduled: next attempt number + detail.
   std::function<void(std::size_t, int, const std::string&)> on_retrying;
-  /// A batch was requeued after a transport loss (trace bookkeeping
+  /// A spec was requeued after a transport loss (trace bookkeeping
   /// only — transport losses do not touch manifest retries).
   std::function<void(std::size_t, int, const std::string&)> on_requeued;
   /// Heartbeat progress for a running spec: events, sim-time seconds.
@@ -200,12 +185,12 @@ void run_dispatch_queue(std::size_t num_specs, const std::vector<char>& skip,
                         const DispatchPolicy& policy,
                         telemetry::StatusBoard* board, DispatchCallbacks cb);
 
-/// Worker side: pulls spec batches over the connected stream socket
-/// `fd` until the other end reports the sweep done or hangs up, then
-/// closes it. Runs each spec through run_attempt (worker.hpp),
-/// heartbeating while it runs, and streams sealed results back. Returns
-/// a process exit code: 0 clean, kWorkerExitBadRequest on a wire
-/// failure.
+/// Worker side: pulls specs over the connected stream socket `fd` until
+/// the other end reports the sweep done or hangs up, then closes it.
+/// Runs each granted spec through run_attempt (worker.hpp), heartbeating
+/// while it runs, and sends its result back. Returns a process exit
+/// code: 0 clean, kWorkerExitBadRequest on a wire failure (a damaged or
+/// undecodable frame included).
 int serve_worker(int fd);
 
 /// `--connect`: serve_worker on a TCP connection to a dispatcher.

@@ -292,15 +292,16 @@ struct Sweep {
   }
 
   /// Attempt `attempt` of spec i as every backend describes it to
-  /// run_attempt — directly, or sealed across a process or TCP boundary.
+  /// run_attempt — directly, or in a grant frame across a process or TCP
+  /// boundary.
   [[nodiscard]] WorkerRequest request(std::size_t i, int attempt,
                                       const std::string& container) const {
     WorkerRequest req;
     req.config = specs[i].config;
     req.kind = specs[i].kind;
     req.attempt = attempt;
+    req.spec = i;
     req.checkpoint_path = container;
-    req.checkpoint_spec = i;
     req.checkpoint_every_s = opts.checkpoint_every_s;
     return req;
   }
@@ -434,10 +435,10 @@ pid_t spawn_worker(const std::string& exe, int child_end) {
 /// `fd`: a grant of `request` for its first request, nowork(done) for
 /// the next, so a healthy worker exits 0. Reads to EOF, filing each
 /// heartbeat into the slot's progress atomics and the result into *res.
-WorkerStream serve_grant(int fd, std::size_t spec, int attempt,
-                         const std::vector<std::uint8_t>& request,
+WorkerStream serve_grant(int fd, const WorkerRequest& request,
                          double lease_secs, Slot& slot, WorkerResult* res) {
-  const std::string ctx = "worker stream of spec " + std::to_string(spec);
+  const std::string ctx =
+      "worker stream of spec " + std::to_string(request.spec);
   const auto send = [fd](const std::vector<std::uint8_t>& bytes) {
     net::write_full(fd, bytes.data(), bytes.size());
   };
@@ -455,15 +456,14 @@ WorkerStream serve_grant(int fd, std::size_t spec, int attempt,
         said_hello = true;
       } else if (f.type == FrameType::kRequest) {
         send(granted ? encode_nowork_frame(true)
-                     : encode_grant_frame(1, lease_secs,
-                                          {{spec, attempt, request}}));
+                     : encode_grant_frame(lease_secs, request));
         granted = true;
       } else if (f.type == FrameType::kHeartbeat) {
         slot.events.store(f.events);
         slot.time_bits.store(f.sim_time_bits, std::memory_order_relaxed);
         slot.seq.store(f.checkpoint_seq, std::memory_order_relaxed);
       } else if (f.type == FrameType::kResult) {
-        *res = decode_worker_result(f.result);
+        *res = std::move(f.result);
         got = res->ok ? WorkerStream::kOk : WorkerStream::kError;
       } else {
         throw snapshot::SnapshotError(ctx + ": unexpected frame");
@@ -472,8 +472,8 @@ WorkerStream serve_grant(int fd, std::size_t spec, int attempt,
   } catch (const net::NetError&) {
     // The worker died mid-conversation (EPIPE, ECONNRESET): as EOF.
   } catch (const std::exception&) {
-    // A damaged frame or result image. Hang up; a worker still running
-    // fails its next send.
+    // A damaged frame. Hang up; a worker still running fails its next
+    // send.
     got = WorkerStream::kCorrupt;
     ::shutdown(fd, SHUT_RDWR);
   }
@@ -486,8 +486,6 @@ WorkerStream serve_grant(int fd, std::size_t spec, int attempt,
 /// so the parent only decides accept / retry / quarantine.
 AttemptReport attempt_isolated(const Sweep& sw, std::size_t i, int attempt,
                                Slot& slot) {
-  const std::vector<std::uint8_t> request =
-      encode_worker_request(sw.request(i, attempt, sw.ckpt));
   // The lease sets the worker's heartbeat period (lease/4), so a
   // watchdog window sees at least four progress readings.
   const double lease =
@@ -526,7 +524,8 @@ AttemptReport attempt_isolated(const Sweep& sw, std::size_t i, int attempt,
 
     WorkerResult wres;
     const WorkerStream got =
-        serve_grant(ours.fd, i, attempt, request, lease, slot, &wres);
+        serve_grant(ours.fd, sw.request(i, attempt, sw.ckpt), lease, slot,
+                    &wres);
     int status = 0;
     pid_t waited = -1;
     do {
@@ -1112,7 +1111,7 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
 
       DispatchCallbacks cb;
       cb.make_request = [&](std::size_t i, int attempt) {
-        return encode_worker_request(sw.request(i, attempt, std::string()));
+        return sw.request(i, attempt, std::string());
       };
       cb.on_started = [&](std::size_t i, int a) { sw.start(i, a); };
       cb.on_completed = [&](std::size_t i, int a, WorkerResult&& w) {

@@ -70,7 +70,7 @@ void run_attempt(const WorkerRequest& req, const AttemptHooks& hooks,
     std::vector<std::uint8_t>& image =
         hooks.keep_image ? *hooks.image : scratch;
     image = make_checkpoint(world);
-    snapshot::container_put(req.checkpoint_path, req.checkpoint_spec, image);
+    snapshot::container_put(req.checkpoint_path, req.spec, image);
     ++written;
     if (p.checkpoint_seq != nullptr)
       p.checkpoint_seq->store(written, std::memory_order_relaxed);
@@ -117,7 +117,7 @@ std::vector<std::uint8_t> load_resume_image(const std::string& container,
 
 namespace {
 
-/// Runs one leased spec in-process and reports its outcome as a
+/// Runs a grant's spec in-process and reports its outcome as a
 /// WorkerResult: a simulation failure is a structured error, so the
 /// parent's retry/quarantine decisions match the in-process backend
 /// byte for byte. A heartbeat thread streams the attempt's live progress
@@ -130,15 +130,14 @@ namespace {
 /// entry; a remote grant carries no container, so its spec runs from
 /// scratch, uncheckpointed.
 WorkerResult run_leased_spec(
-    const GrantItem& item, std::uint64_t lease_id, double lease_secs,
+    const WireFrame& grant,
     const std::function<void(const std::vector<std::uint8_t>&)>& send) {
-  WorkerRequest req;
+  const WorkerRequest& req = grant.request;
   try {
-    req = decode_worker_request(item.request);
     req.config.validate();
   } catch (const std::exception& e) {
     WorkerResult res;
-    res.error = std::string("bad request image: ") + e.what();
+    res.error = std::string("bad request: ") + e.what();
     return res;
   }
 
@@ -146,7 +145,7 @@ WorkerResult run_leased_spec(
   // previous attempt left is the one to resume (a torn tail simply
   // hides it — container_get recovers what precedes the tear).
   std::vector<std::uint8_t> image = load_resume_image(
-      req.checkpoint_path, req.checkpoint_spec, req.config, req.kind);
+      req.checkpoint_path, req.spec, req.config, req.kind);
 
   std::atomic<std::uint64_t> events{0};
   std::atomic<std::uint64_t> time_bits{0};
@@ -156,14 +155,14 @@ WorkerResult run_leased_spec(
   std::condition_variable hb_cv;
   bool hb_stop = false;
   const auto period = std::chrono::duration<double>(
-      std::clamp(lease_secs / 4.0, 0.05, 5.0));
+      std::clamp(grant.lease_secs / 4.0, 0.05, 5.0));
   std::thread heartbeat([&] {
     std::unique_lock<std::mutex> lock(hb_mu);
     while (!hb_cv.wait_for(lock, period, [&] { return hb_stop; })) {
       lock.unlock();
       try {
-        send(encode_heartbeat_frame(lease_id, item.spec, events.load(),
-                                    time_bits.load(), seq.load()));
+        send(encode_heartbeat_frame(req.spec, events.load(), time_bits.load(),
+                                    seq.load()));
       } catch (const std::exception&) {
         orphaned.store(true);  // the result send will fail too
         return;
@@ -183,7 +182,7 @@ WorkerResult run_leased_spec(
     // InvariantViolation, SimulatedCrash, a failed resume, ... — a
     // *reported* failure, which consumes the spec's sim retry budget.
     if (drops_checkpoint(e))
-      erase_checkpoint(req.checkpoint_path, req.checkpoint_spec);
+      erase_checkpoint(req.checkpoint_path, req.spec);
     out.report.ok = false;
     out.report.error = e.what();
   }
@@ -230,17 +229,13 @@ int serve_worker(int fd) {
       if (f.type != FrameType::kGrant)
         throw snapshot::SnapshotError(
             "dispatch stream: expected grant or nowork");
-      for (const GrantItem& item : f.items) {
-        const WorkerResult res =
-            run_leased_spec(item, f.lease_id, f.lease_secs, send);
-        send(encode_result_frame(f.lease_id, item.spec, item.attempt,
-                                 encode_worker_result(res)));
-        ++results_sent;
-        if (drop_after >= 0 && results_sent >= drop_after) {
-          ::shutdown(fd, SHUT_RDWR);
-          ::close(fd);
-          return kWorkerExitOk;
-        }
+      const WorkerResult res = run_leased_spec(f, send);
+      send(encode_result_frame(f.request.spec, f.request.attempt, res));
+      ++results_sent;
+      if (drop_after >= 0 && results_sent >= drop_after) {
+        ::shutdown(fd, SHUT_RDWR);
+        ::close(fd);
+        return kWorkerExitOk;
       }
     }
   } catch (const std::exception& e) {

@@ -30,7 +30,7 @@ struct AttemptProgress {
   std::atomic<std::uint64_t>* checkpoint_seq = nullptr;  ///< checkpoints
 };
 
-/// The in-memory side of an attempt, which a request image cannot carry.
+/// The in-memory side of an attempt, which a request cannot carry.
 struct AttemptHooks {
   /// The spec's last good checkpoint. A non-empty image is resumed from
   /// (replayed and verified); nullptr or empty: a fresh World. With

@@ -5,14 +5,9 @@
 #include <csignal>
 
 #include "common/config_io.hpp"
-#include "snapshot/snapshot_io.hpp"
 
 namespace dftmsn {
 namespace {
-
-constexpr char kRequestMagic[] = "DFTMSNWQ";
-constexpr char kResultMagic[] = "DFTMSNWR";
-constexpr std::uint32_t kProtocolVersion = 4;  // v4: frames only
 
 // The six doubles go first as bit patterns, then the counters, in
 // RunResult declaration order — the same order the manifest uses.
@@ -66,71 +61,40 @@ void load_run_result(RunResult& r, snapshot::Reader& rd) {
   rd.end_section();
 }
 
-std::uint32_t check_version(snapshot::Reader& rd, const char* what) {
-  const std::uint32_t v = rd.u32();
-  if (v != kProtocolVersion)
-    throw snapshot::SnapshotError(std::string(what) + ": protocol version " +
-                                  std::to_string(v) + " (this build speaks " +
-                                  std::to_string(kProtocolVersion) + ")");
-  return v;
-}
-
 }  // namespace
 
-std::vector<std::uint8_t> encode_worker_request(const WorkerRequest& req) {
-  snapshot::Writer w;
-  w.u32(kProtocolVersion);
-  w.begin_section("request");
+void save_worker_request(const WorkerRequest& req, snapshot::Writer& w) {
   save_config_exact(req.config, w);
   w.u32(static_cast<std::uint32_t>(req.kind));
   w.i64(req.attempt);
+  w.u64(req.spec);
   w.str(req.checkpoint_path);
-  w.u64(req.checkpoint_spec);
   w.f64(req.checkpoint_every_s);
-  w.end_section();
-  return snapshot::seal_container(kRequestMagic, w.bytes());
 }
 
-WorkerRequest decode_worker_request(const std::vector<std::uint8_t>& image) {
-  snapshot::Reader rd(snapshot::unseal_container(kRequestMagic, image));
-  check_version(rd, "worker request");
-  WorkerRequest req;
-  rd.begin_section("request");
+void load_worker_request(WorkerRequest& req, snapshot::Reader& rd) {
   load_config_exact(req.config, rd);
   req.kind = static_cast<ProtocolKind>(rd.u32());
   req.attempt = static_cast<int>(rd.i64());
+  req.spec = rd.u64();
   req.checkpoint_path = rd.str();
-  req.checkpoint_spec = rd.u64();
   req.checkpoint_every_s = rd.f64();
-  rd.end_section();
-  return req;
 }
 
-std::vector<std::uint8_t> encode_worker_result(const WorkerResult& res) {
-  snapshot::Writer w;
-  w.u32(kProtocolVersion);
-  w.begin_section("result");
-  w.u8(res.ok ? 0 : 1);
+void save_worker_result(const WorkerResult& res, snapshot::Writer& w) {
+  w.boolean(res.ok);
   w.str(res.error);
   save_run_result(res.result, w);
   w.u64(res.checkpoints_written);
   res.registry.save_state(w);
-  w.end_section();
-  return snapshot::seal_container(kResultMagic, w.bytes());
 }
 
-WorkerResult decode_worker_result(const std::vector<std::uint8_t>& image) {
-  snapshot::Reader rd(snapshot::unseal_container(kResultMagic, image));
-  check_version(rd, "worker result");
-  WorkerResult res;
-  rd.begin_section("result");
-  res.ok = rd.u8() == 0;
+void load_worker_result(WorkerResult& res, snapshot::Reader& rd) {
+  res.ok = rd.boolean();
   res.error = rd.str();
   load_run_result(res.result, rd);
   res.checkpoints_written = rd.u64();
   res.registry.load_state(rd);
-  rd.end_section();
-  return res;
 }
 
 std::string worker_signal_name(int sig) {

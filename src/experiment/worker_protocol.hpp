@@ -1,31 +1,29 @@
-// The sealed images a supervising sweep parent and its replication
-// workers exchange, and the parent's verdict on a spawned worker.
+// What a supervising sweep parent and its replication workers exchange,
+// and the parent's verdict on a spawned worker.
 //
-// The parent describes each attempt as one *request image* — the full
+// The parent describes each attempt as one WorkerRequest — the full
 // Config (bit-exact encoding, see save_config_exact), the protocol kind,
-// the attempt number and the checkpoint policy — and the worker answers
-// with one *result image*: either the finished RunResult plus its
-// telemetry registry, or a structured error. Both are sealed containers
-// (8-byte magic + payload + trailing FNV-1a digest, see seal_container),
-// so a torn or tampered image fails validation loudly and the parent
+// the attempt number, the spec index and the checkpoint policy — and the
+// worker answers with one WorkerResult: either the finished RunResult
+// plus its telemetry registry, or a structured error. Their field codecs
+// below are the payloads of the dispatch grant and result frames
+// (experiment/dispatch.hpp), whose digest and wire version cover them;
+// a torn or tampered frame fails validation loudly and the parent
 // retries instead of trusting garbage.
 //
-// Every worker receives them the same way: inside the dispatch frames
-// (experiment/dispatch.hpp), whose heartbeats also carry its live
-// progress. A `--connect HOST:PORT` worker speaks them over TCP; the
-// `--worker FD` child of process isolation speaks them over one end of
-// a socketpair it inherits as fd FD. Protocol v4 dropped the request's
-// result/progress file paths and its verify-on-resume flag: the files
-// are gone and every resume verifies.
+// Every worker receives them the same way. A `--connect HOST:PORT`
+// worker speaks the frames over TCP; the `--worker FD` child of process
+// isolation speaks them over one end of a socketpair it inherits as fd
+// FD.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/config.hpp"
 #include "experiment/runner.hpp"
 #include "protocol/mac_common.hpp"
+#include "snapshot/snapshot_io.hpp"
 #include "telemetry/registry.hpp"
 
 namespace dftmsn {
@@ -41,10 +39,11 @@ struct WorkerRequest {
   Config config;
   ProtocolKind kind = ProtocolKind::kOpt;
   int attempt = 0;               ///< gates attempts=-qualified fault events
+  /// The spec index: names the attempt's result and container entry.
+  std::uint64_t spec = 0;
   /// Checkpoint container ("DFTMSNCC") the attempt reads/writes its
   /// entry in. Empty: no checkpointing (always so for a remote worker).
   std::string checkpoint_path;
-  std::uint64_t checkpoint_spec = 0;  ///< this attempt's container entry
   double checkpoint_every_s = 0.0;
 };
 
@@ -57,18 +56,20 @@ struct WorkerResult {
   telemetry::Registry registry;  ///< empty when telemetry is disabled
 };
 
-std::vector<std::uint8_t> encode_worker_request(const WorkerRequest& req);
-WorkerRequest decode_worker_request(const std::vector<std::uint8_t>& image);
-
-std::vector<std::uint8_t> encode_worker_result(const WorkerResult& res);
-WorkerResult decode_worker_result(const std::vector<std::uint8_t>& image);
+/// Field codecs of the grant and result frames. The loaders throw
+/// snapshot::SnapshotError (or std::invalid_argument, for config keys
+/// this build does not register) on malformed fields.
+void save_worker_request(const WorkerRequest& req, snapshot::Writer& w);
+void load_worker_request(WorkerRequest& req, snapshot::Reader& rd);
+void save_worker_result(const WorkerResult& res, snapshot::Writer& w);
+void load_worker_result(WorkerResult& res, snapshot::Reader& rd);
 
 /// What the parent's stream from a spawned worker delivered.
 enum class WorkerStream : std::uint8_t {
   kOk,       ///< a result frame with ok=true
   kError,    ///< a result frame with ok=false (worker reported a failure)
   kNothing,  ///< the stream ended before any result frame
-  kCorrupt,  ///< a damaged frame or an undecodable result image
+  kCorrupt,  ///< a damaged frame
 };
 
 /// Supervisor verdict for one finished worker.

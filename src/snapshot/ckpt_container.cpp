@@ -243,7 +243,7 @@ std::vector<std::uint8_t> encode_record(std::uint32_t kind,
                                         std::uint64_t len) {
   std::vector<std::uint8_t> out;
   out.reserve(kRecOverhead + len);
-  out.insert(out.end(), kRecMagic, kRecMagic + 4);
+  for (const char c : kRecMagic) out.push_back(static_cast<std::uint8_t>(c));
   put_u32(out, kind);
   put_u64(out, spec);
   put_u64(out, seq);

@@ -212,42 +212,6 @@ void require_identical(const std::vector<std::uint8_t>& expected,
   throw SnapshotMismatch("<trailer>", "buffers differ in section count");
 }
 
-// --- sealed containers ------------------------------------------------
-
-std::vector<std::uint8_t> seal_container(const char* magic8,
-                                         const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> image;
-  image.reserve(8 + payload.size() + 8);
-  image.insert(image.end(), magic8, magic8 + 8);
-  image.insert(image.end(), payload.begin(), payload.end());
-  StateHash h;
-  h.update(image.data(), image.size());
-  const std::uint64_t digest = h.value();
-  for (std::size_t i = 0; i < 8; ++i)
-    image.push_back(static_cast<std::uint8_t>(digest >> (8 * i)));
-  return image;
-}
-
-std::vector<std::uint8_t> unseal_container(const char* magic8,
-                                           const std::vector<std::uint8_t>& image) {
-  if (image.size() < 16) throw SnapshotError("container: truncated file");
-  // Digest first: a torn write fails with one clear message instead of
-  // as an arbitrary downstream parse error.
-  std::uint64_t stored = 0;
-  for (std::size_t i = 0; i < 8; ++i)
-    stored |= static_cast<std::uint64_t>(image[image.size() - 8 + i])
-              << (8 * i);
-  StateHash h;
-  h.update(image.data(), image.size() - 8);
-  if (h.value() != stored)
-    throw SnapshotError("container: digest mismatch (torn or corrupt file)");
-  if (std::memcmp(image.data(), magic8, 8) != 0)
-    throw SnapshotError("container: bad magic");
-  return std::vector<std::uint8_t>(
-      image.begin() + 8,
-      image.end() - 8);
-}
-
 // --- files ------------------------------------------------------------
 
 void write_file_atomic(const std::string& path,

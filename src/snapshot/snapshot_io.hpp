@@ -121,19 +121,6 @@ std::vector<std::string> top_level_sections(
 void require_identical(const std::vector<std::uint8_t>& expected,
                        const std::vector<std::uint8_t>& actual);
 
-/// Wraps `payload` in a self-validating container: an 8-byte magic,
-/// the payload, and a trailing FNV-1a digest of everything before it.
-/// The worker-protocol request/result images reuse this shape (the
-/// checkpoint container predates the helper and carries the same layout
-/// with an embedded version field).
-std::vector<std::uint8_t> seal_container(const char* magic8,
-                                         const std::vector<std::uint8_t>& payload);
-
-/// Validates digest (first) and magic, then returns the payload bytes.
-/// Throws SnapshotError on truncation, corruption or a foreign magic.
-std::vector<std::uint8_t> unseal_container(const char* magic8,
-                                           const std::vector<std::uint8_t>& image);
-
 /// Atomically writes `bytes` to `path` (temp file + rename), so a crash
 /// mid-write can never leave a torn checkpoint behind.
 void write_file_atomic(const std::string& path,

@@ -41,10 +41,14 @@ void LifecycleTrace::emit(char ph, std::size_t spec, const std::string& name,
   // One compact object per line, trailing comma: valid as a prefix of a
   // JSON array, and each line minus the comma parses standalone (which
   // is how the tests and any JSONL tooling consume it).
-  std::string line = "{\"name\": \"" + json_escape(name) +
-                     "\", \"cat\": \"sweep\", \"ph\": \"" + ph +
-                     "\", \"ts\": " + std::to_string(ts) +
-                     ", \"pid\": 1, \"tid\": " + std::to_string(spec);
+  std::string line = "{\"name\": \"";
+  line += json_escape(name);
+  line += "\", \"cat\": \"sweep\", \"ph\": \"";
+  line += ph;
+  line += "\", \"ts\": ";
+  line += std::to_string(ts);
+  line += ", \"pid\": 1, \"tid\": ";
+  line += std::to_string(spec);
   if (ph == 'i') line += ", \"s\": \"t\"";  // instant scoped to its thread
   if (!args.empty()) {
     line += ", \"args\": {";
@@ -52,7 +56,11 @@ void LifecycleTrace::emit(char ph, std::size_t spec, const std::string& name,
     for (const auto& [k, v] : args) {
       if (!first) line += ", ";
       first = false;
-      line += "\"" + json_escape(k) + "\": \"" + json_escape(v) + "\"";
+      line += '"';
+      line += json_escape(k);
+      line += "\": \"";
+      line += json_escape(v);
+      line += '"';
     }
     line += "}";
   }

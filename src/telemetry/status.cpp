@@ -405,7 +405,7 @@ std::string StatusBoard::render_prometheus() const {
 
   if (s.dispatch_enabled) {
     prom_header(os, "dftmsn_dispatch_batches_granted_total", "counter",
-                "Spec batches granted under a lease.");
+                "Specs granted under a lease, one per grant.");
     prom_line(os, "dftmsn_dispatch_batches_granted_total", "",
               std::to_string(s.dispatch.batches_granted));
     prom_header(os, "dftmsn_dispatch_results_accepted_total", "counter",

@@ -65,6 +65,8 @@ struct DispatchWorkerRow {
 /// tallies and pushes whole snapshots (it is single-threaded), so the
 /// board never has to reconstruct them from events.
 struct DispatchCounters {
+  /// Grants, one spec each (the name predates single-spec leases and is
+  /// kept for the dftmsn-status-v1 schema).
   std::uint64_t batches_granted = 0;
   std::uint64_t results_accepted = 0;
   std::uint64_t duplicates_discarded = 0;

@@ -13,7 +13,7 @@ TEST(BatteryModel, LifetimeInverseOfPower) {
   EXPECT_DOUBLE_EQ(b.lifetime_s(1.0), 1000.0);
   EXPECT_DOUBLE_EQ(b.lifetime_s(0.5), 2000.0);
   EXPECT_TRUE(std::isinf(b.lifetime_s(0.0)));
-  EXPECT_THROW(b.lifetime_s(-1.0), std::invalid_argument);
+  EXPECT_THROW((void)b.lifetime_s(-1.0), std::invalid_argument);
 }
 
 TEST(BatteryModel, DefaultBudgetVsMotePowers) {

@@ -1,10 +1,11 @@
 // Dispatch-plane suite (docs/distributed_sweeps.md): the wire frame
 // codec (round-trips, partial prefixes, damage rejection), the lease
 // machinery against real loopback sockets (expiry without progress,
-// requeue, duplicate-result idempotency, heartbeat-gated extension), a
-// worker whose parent hangs up mid-attempt exiting instead of running
-// on, and the headline robustness contract — a dispatched sweep's manifest
-// is byte-identical to an in-process run of the same specs.
+// requeue, duplicate-result idempotency, stale-attempt reports,
+// heartbeat-gated extension by the lease holder only), a worker whose
+// parent hangs up mid-attempt exiting instead of running on, and the
+// headline robustness contract — a dispatched sweep's manifest is
+// byte-identical to an in-process run of the same specs.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -62,6 +64,18 @@ std::vector<RunSpec> make_specs(int n) {
   return specs;
 }
 
+/// A dispatcher's make_request: `base` for every spec, stamped with the
+/// spec index and attempt a worker echoes back in its result.
+std::function<WorkerRequest(std::size_t, int)> requests_from(
+    const WorkerRequest& base) {
+  return [base](std::size_t i, int attempt) {
+    WorkerRequest req = base;
+    req.spec = i;
+    req.attempt = attempt;
+    return req;
+  };
+}
+
 void sleep_ms(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
@@ -96,25 +110,22 @@ TEST(DispatchFrames, RoundTripEveryType) {
             request.size());
   EXPECT_EQ(f.type, FrameType::kRequest);
 
-  GrantItem item;
-  item.spec = 5;
-  item.attempt = -3;  // the i64 lane must survive negatives intact
-  item.request = {1, 2, 3, 4, 5};
-  GrantItem item2;
-  item2.spec = 7;
-  item2.attempt = 2;
-  const auto grant = encode_grant_frame(9, 2.5, {item, item2});
+  WorkerRequest req;
+  req.config = small_config(9);
+  req.spec = 5;
+  req.attempt = -3;  // the i64 lane must survive negatives intact
+  req.checkpoint_path = "ck/spec_5.ckpt";
+  req.checkpoint_every_s = 25.0;
+  const auto grant = encode_grant_frame(2.5, req);
   ASSERT_EQ(try_extract_frame(grant.data(), grant.size(), "t", &f),
             grant.size());
   EXPECT_EQ(f.type, FrameType::kGrant);
-  EXPECT_EQ(f.lease_id, 9u);
   EXPECT_EQ(f.lease_secs, 2.5);
-  ASSERT_EQ(f.items.size(), 2u);
-  EXPECT_EQ(f.items[0].spec, 5u);
-  EXPECT_EQ(f.items[0].attempt, -3);
-  EXPECT_EQ(f.items[0].request, item.request);
-  EXPECT_EQ(f.items[1].spec, 7u);
-  EXPECT_TRUE(f.items[1].request.empty());
+  EXPECT_EQ(f.request.config.scenario.seed, 9u);
+  EXPECT_EQ(f.request.spec, 5u);
+  EXPECT_EQ(f.request.attempt, -3);
+  EXPECT_EQ(f.request.checkpoint_path, "ck/spec_5.ckpt");
+  EXPECT_EQ(f.request.checkpoint_every_s, 25.0);
 
   for (const bool done : {false, true}) {
     const auto nowork = encode_nowork_frame(done);
@@ -124,21 +135,22 @@ TEST(DispatchFrames, RoundTripEveryType) {
     EXPECT_EQ(f.done, done);
   }
 
-  const std::vector<std::uint8_t> sealed = {9, 8, 7};
-  const auto result = encode_result_frame(11, 5, 2, sealed);
+  WorkerResult res;
+  res.error = "simulated failure";
+  res.checkpoints_written = 3;
+  const auto result = encode_result_frame(5, 2, res);
   ASSERT_EQ(try_extract_frame(result.data(), result.size(), "t", &f),
             result.size());
   EXPECT_EQ(f.type, FrameType::kResult);
-  EXPECT_EQ(f.lease_id, 11u);
   EXPECT_EQ(f.spec, 5u);
   EXPECT_EQ(f.attempt, 2);
-  EXPECT_EQ(f.result, sealed);
+  EXPECT_FALSE(f.result.ok);
+  EXPECT_EQ(f.result.error, "simulated failure");
+  EXPECT_EQ(f.result.checkpoints_written, 3u);
 
-  const auto hb =
-      encode_heartbeat_frame(11, 5, 12345, 0x3ff0000000000000u, 7);
+  const auto hb = encode_heartbeat_frame(5, 12345, 0x3ff0000000000000u, 7);
   ASSERT_EQ(try_extract_frame(hb.data(), hb.size(), "t", &f), hb.size());
   EXPECT_EQ(f.type, FrameType::kHeartbeat);
-  EXPECT_EQ(f.lease_id, 11u);
   EXPECT_EQ(f.spec, 5u);
   EXPECT_EQ(f.events, 12345u);
   EXPECT_EQ(f.sim_time_bits, 0x3ff0000000000000u);
@@ -146,10 +158,10 @@ TEST(DispatchFrames, RoundTripEveryType) {
 }
 
 TEST(DispatchFrames, EveryPartialPrefixAsksForMoreBytes) {
-  GrantItem item;
-  item.spec = 1;
-  item.request = {42, 43, 44};
-  const auto grant = encode_grant_frame(3, 1.0, {item});
+  WorkerRequest req;
+  req.spec = 1;
+  req.checkpoint_path = "ck";
+  const auto grant = encode_grant_frame(1.0, req);
   WireFrame f;
   for (std::size_t len = 0; len < grant.size(); ++len)
     EXPECT_EQ(try_extract_frame(grant.data(), len, "t", &f), 0u)
@@ -160,7 +172,7 @@ TEST(DispatchFrames, ConcatenatedStreamExtractsInOrder) {
   std::vector<std::uint8_t> stream;
   for (const auto& frame :
        {encode_hello_frame("w"), encode_request_frame(),
-        encode_heartbeat_frame(1, 2, 3, 4), encode_nowork_frame(true)})
+        encode_heartbeat_frame(2, 3, 4), encode_nowork_frame(true)})
     stream.insert(stream.end(), frame.begin(), frame.end());
 
   std::vector<FrameType> seen;
@@ -180,7 +192,7 @@ TEST(DispatchFrames, ConcatenatedStreamExtractsInOrder) {
 }
 
 TEST(DispatchFrames, DamageIsRejectedNamingTheContext) {
-  const auto good = encode_heartbeat_frame(1, 2, 3, 4);
+  const auto good = encode_heartbeat_frame(2, 3, 4);
   WireFrame f;
 
   const auto expect_throw = [&](std::vector<std::uint8_t> bytes,
@@ -210,7 +222,7 @@ TEST(DispatchFrames, DamageIsRejectedNamingTheContext) {
   expect_throw(huge_len, "oversized length");
 
   auto bad_digest = good;
-  bad_digest.back() ^= 0x01;
+  bad_digest.at(bad_digest.size() - 1) ^= 0x01;
   expect_throw(bad_digest, "digest flip");
 
   auto torn_payload = good;
@@ -266,13 +278,12 @@ TEST(DispatchQueue, LeaseExpiryRequeuesAndDuplicateResultIsDiscarded) {
 
   WorkerRequest req;
   req.config = small_config(50);
-  const auto image = encode_worker_request(req);
 
   std::atomic<int> requeued{0};
   std::atomic<int> completed{0};
   std::atomic<int> quarantined{0};
   DispatchCallbacks cb;
-  cb.make_request = [&](std::size_t, int) { return image; };
+  cb.make_request = requests_from(req);
   cb.on_started = [](std::size_t, int) {};
   cb.on_completed = [&](std::size_t, int, WorkerResult&&) { ++completed; };
   cb.on_quarantined = [&](std::size_t, int, const std::string&) {
@@ -290,15 +301,14 @@ TEST(DispatchQueue, LeaseExpiryRequeuesAndDuplicateResultIsDiscarded) {
   wait_for([&] { return port.load() > 0; }, 10.0, "listener port");
 
   // Stub 1 takes a lease and goes silent: no heartbeat, no result. The
-  // lease must expire and the batch requeue (to the back of the ready
+  // lease must expire and the spec requeue (to the back of the ready
   // queue) without consuming the sim retry budget.
   Stub s1(port.load());
   s1.send(encode_hello_frame("stalled"));
   s1.send(encode_request_frame());
   const WireFrame g1 = s1.read_frame();
   ASSERT_EQ(g1.type, FrameType::kGrant);
-  ASSERT_EQ(g1.items.size(), 1u);
-  const std::uint64_t spec0 = g1.items[0].spec;
+  const std::uint64_t spec0 = g1.request.spec;
   EXPECT_EQ(spec0, 0u);
   wait_for([&] { return requeued.load() > 0; }, 10.0, "lease expiry requeue");
 
@@ -316,31 +326,27 @@ TEST(DispatchQueue, LeaseExpiryRequeuesAndDuplicateResultIsDiscarded) {
   s2.send(encode_request_frame());
   const WireFrame g2 = s2.read_frame();
   ASSERT_EQ(g2.type, FrameType::kGrant);
-  ASSERT_EQ(g2.items.size(), 1u);
-  EXPECT_EQ(g2.items[0].spec, 1u);
-  s2.send(encode_result_frame(g2.lease_id, 1, g2.items[0].attempt,
-                              encode_worker_result(ok)));
+  EXPECT_EQ(g2.request.spec, 1u);
+  s2.send(encode_result_frame(1, g2.request.attempt, ok));
   wait_for([&] { return completed.load() == 1; }, 10.0, "spec 1 completion");
 
   s2.send(encode_request_frame());
   const WireFrame g3 = s2.read_frame();
   ASSERT_EQ(g3.type, FrameType::kGrant);
-  EXPECT_EQ(g3.items[0].spec, 2u);  // parked: completed last
+  EXPECT_EQ(g3.request.spec, 2u);  // parked: completed last
 
   s2.send(encode_request_frame());
   const WireFrame g4 = s2.read_frame();
   ASSERT_EQ(g4.type, FrameType::kGrant);
-  EXPECT_EQ(g4.items[0].spec, spec0);
-  EXPECT_EQ(g4.items[0].attempt, g1.items[0].attempt)
+  EXPECT_EQ(g4.request.spec, spec0);
+  EXPECT_EQ(g4.request.attempt, g1.request.attempt)
       << "a transport loss must not consume the sim retry budget";
-  s2.send(encode_result_frame(g4.lease_id, spec0, g4.items[0].attempt,
-                              encode_worker_result(ok)));
+  s2.send(encode_result_frame(spec0, g4.request.attempt, ok));
   wait_for([&] { return completed.load() == 2; }, 10.0, "spec 0 completion");
 
   // The resurrected stub 1 now publishes its stale result for the
   // already-terminal spec 0: discarded by spec id, not double-completed.
-  s1.send(encode_result_frame(g1.lease_id, spec0, g1.items[0].attempt,
-                              encode_worker_result(ok)));
+  s1.send(encode_result_frame(spec0, g1.request.attempt, ok));
   wait_for(
       [&] { return board.snapshot().dispatch.duplicates_discarded >= 1; },
       10.0, "duplicate discard");
@@ -349,8 +355,7 @@ TEST(DispatchQueue, LeaseExpiryRequeuesAndDuplicateResultIsDiscarded) {
   // Unpark spec 2 so the queue can finish. (Its lease may have expired
   // and requeued meanwhile — a late result for a non-terminal spec is
   // still the first accepted one, so it completes either way.)
-  s2.send(encode_result_frame(g3.lease_id, 2, g3.items[0].attempt,
-                              encode_worker_result(ok)));
+  s2.send(encode_result_frame(2, g3.request.attempt, ok));
   dispatcher.join();
 
   EXPECT_EQ(completed.load(), 3);
@@ -376,12 +381,11 @@ TEST(DispatchQueue, HeartbeatsExtendLeaseOnlyWithEventProgress) {
 
   WorkerRequest req;
   req.config = small_config(51);
-  const auto image = encode_worker_request(req);
 
   std::atomic<int> requeued{0};
   std::atomic<bool> done{false};
   DispatchCallbacks cb;
-  cb.make_request = [&](std::size_t, int) { return image; };
+  cb.make_request = requests_from(req);
   cb.on_started = [](std::size_t, int) {};
   cb.on_completed = [&](std::size_t, int, WorkerResult&&) {};
   cb.on_quarantined = [](std::size_t, int, const std::string&) {};
@@ -407,7 +411,7 @@ TEST(DispatchQueue, HeartbeatsExtendLeaseOnlyWithEventProgress) {
   // well past several base durations.
   std::uint64_t events = 1;
   for (int i = 0; i < 10; ++i) {
-    s.send(encode_heartbeat_frame(g.lease_id, g.items[0].spec, events++, 0));
+    s.send(encode_heartbeat_frame(g.request.spec, events++, 0));
     sleep_ms(100);
   }
   EXPECT_EQ(requeued.load(), 0)
@@ -416,7 +420,7 @@ TEST(DispatchQueue, HeartbeatsExtendLeaseOnlyWithEventProgress) {
   // A frozen counter (the SIGSTOP signature: frames may flow, progress
   // does not) stops extending it.
   for (int i = 0; i < 10 && requeued.load() == 0; ++i) {
-    s.send(encode_heartbeat_frame(g.lease_id, g.items[0].spec, events, 0));
+    s.send(encode_heartbeat_frame(g.request.spec, events, 0));
     sleep_ms(100);
   }
   wait_for([&] { return requeued.load() > 0; }, 10.0,
@@ -427,10 +431,68 @@ TEST(DispatchQueue, HeartbeatsExtendLeaseOnlyWithEventProgress) {
   s.send(encode_request_frame());
   const WireFrame g2 = s.read_frame();
   ASSERT_EQ(g2.type, FrameType::kGrant);
-  s.send(encode_result_frame(g2.lease_id, g2.items[0].spec,
-                             g2.items[0].attempt, encode_worker_result(ok)));
+  s.send(encode_result_frame(g2.request.spec, g2.request.attempt, ok));
   dispatcher.join();
   EXPECT_TRUE(done.load());
+}
+
+TEST(DispatchQueue, OnlyTheLeaseHolderExtendsALease) {
+  std::atomic<int> port{0};
+  DispatchOptions opts;
+  opts.port = 0;
+  opts.port_out = &port;
+  opts.lease_secs = 0.2;
+  DispatchPolicy pol;
+  pol.retry_backoff_s = 0.0;
+
+  WorkerRequest req;
+  req.config = small_config(54);
+
+  std::atomic<int> requeued{0};
+  std::atomic<int> progressed{0};
+  DispatchCallbacks cb;
+  cb.make_request = requests_from(req);
+  cb.on_requeued = [&](std::size_t, int, const std::string&) { ++requeued; };
+  cb.on_progress = [&](std::size_t, std::uint64_t, double) { ++progressed; };
+
+  std::thread dispatcher([&] {
+    run_dispatch_queue(1, std::vector<char>(1, 0), opts, pol, nullptr, cb);
+  });
+  wait_for([&] { return port.load() > 0; }, 10.0, "listener port");
+
+  // Stub 1 takes spec 0 and stays silent until its lease expires.
+  Stub s1(port.load());
+  s1.send(encode_hello_frame("former"));
+  s1.send(encode_request_frame());
+  const WireFrame g1 = s1.read_frame();
+  ASSERT_EQ(g1.type, FrameType::kGrant);
+  wait_for([&] { return requeued.load() == 1; }, 10.0, "first expiry");
+
+  // Stub 2 takes the new grant and never heartbeats; stub 1 wakes up and
+  // heartbeats progress on spec 0. Those heartbeats are not the holder's,
+  // so stub 2's lease must expire all the same.
+  Stub s2(port.load());
+  s2.send(encode_hello_frame("holder"));
+  s2.send(encode_request_frame());
+  const WireFrame g2 = s2.read_frame();
+  ASSERT_EQ(g2.type, FrameType::kGrant);
+  EXPECT_EQ(g2.request.spec, g1.request.spec);
+  std::uint64_t events = 1;
+  for (int i = 0; i < 100 && requeued.load() < 2; ++i) {
+    s1.send(encode_heartbeat_frame(g1.request.spec, events++, 0));
+    sleep_ms(20);
+  }
+  EXPECT_EQ(requeued.load(), 2)
+      << "a former holder's heartbeats extended the new holder's lease";
+  EXPECT_EQ(progressed.load(), 0);
+
+  WorkerResult ok;
+  ok.ok = true;
+  s2.send(encode_request_frame());
+  const WireFrame g3 = s2.read_frame();
+  ASSERT_EQ(g3.type, FrameType::kGrant);
+  s2.send(encode_result_frame(g3.request.spec, g3.request.attempt, ok));
+  dispatcher.join();
 }
 
 /// Plays the parent's side of one grant over `fd`: takes the worker's
@@ -444,8 +506,7 @@ void grant_and_await_heartbeat(int fd, const WorkerRequest& req) {
   ASSERT_EQ(f.type, FrameType::kHello);
   ASSERT_TRUE(read_frame(fd, buf, "test peer", &f));
   ASSERT_EQ(f.type, FrameType::kRequest);
-  const auto grant = encode_grant_frame(
-      7, 0.2, {GrantItem{0, 0, encode_worker_request(req)}});
+  const auto grant = encode_grant_frame(0.2, req);
   net::write_full(fd, grant.data(), grant.size());
   ASSERT_TRUE(read_frame(fd, buf, "test peer", &f));
   ASSERT_EQ(f.type, FrameType::kHeartbeat);
@@ -492,7 +553,6 @@ TEST(DispatchQueue, DispatchedSweepMatchesInProcessManifestBytes) {
   std::atomic<int> port{0};
   opts.dispatch.port = 0;
   opts.dispatch.port_out = &port;
-  opts.dispatch.batch_size = 2;
 
   SweepManifest got;
   std::thread supervisor([&] { got = run_specs_supervised(specs, opts); });
@@ -531,14 +591,13 @@ TEST(DispatchQueue, SimFailureRetriesThenQuarantinesLikeLocalModes) {
 
   WorkerRequest req;
   req.config = small_config(52);
-  const auto image = encode_worker_request(req);
 
   std::vector<int> retry_attempts;
   std::atomic<int> quarantined_attempt{-1};
   std::string quarantine_detail;
   std::mutex mu;
   DispatchCallbacks cb;
-  cb.make_request = [&](std::size_t, int) { return image; };
+  cb.make_request = requests_from(req);
   cb.on_started = [](std::size_t, int) {};
   cb.on_completed = [&](std::size_t, int, WorkerResult&&) {
     ADD_FAILURE() << "failing spec must not complete";
@@ -572,10 +631,8 @@ TEST(DispatchQueue, SimFailureRetriesThenQuarantinesLikeLocalModes) {
     s.send(encode_request_frame());
     const WireFrame g = s.read_frame();
     ASSERT_EQ(g.type, FrameType::kGrant);
-    EXPECT_EQ(g.items[0].attempt, round);
-    s.send(encode_result_frame(g.lease_id, g.items[0].spec,
-                               g.items[0].attempt,
-                               encode_worker_result(bad)));
+    EXPECT_EQ(g.request.attempt, round);
+    s.send(encode_result_frame(g.request.spec, g.request.attempt, bad));
   }
   dispatcher.join();
 
@@ -585,6 +642,93 @@ TEST(DispatchQueue, SimFailureRetriesThenQuarantinesLikeLocalModes) {
   EXPECT_NE(quarantine_detail.find("attempt 1: simulated failure"),
             std::string::npos)
       << quarantine_detail;
+}
+
+TEST(DispatchQueue, StaleFailureReportIsADuplicate) {
+  // A worker whose lease expired reports the failure of an attempt that
+  // another worker already reported and the spec retried: the stale
+  // report must not retry the spec a second time.
+  telemetry::StatusBoard board;
+  board.reset(1, {150.0});
+
+  std::atomic<int> port{0};
+  DispatchOptions opts;
+  opts.port = 0;
+  opts.port_out = &port;
+  opts.lease_secs = 0.2;
+  DispatchPolicy pol;
+  pol.max_retries = 2;
+  pol.retry_backoff_s = 0.0;
+
+  WorkerRequest req;
+  req.config = small_config(53);
+
+  std::vector<int> retry_attempts;
+  std::atomic<int> requeued{0};
+  std::atomic<int> retried{0};
+  std::atomic<int> completed_attempt{-1};
+  std::mutex mu;
+  DispatchCallbacks cb;
+  cb.make_request = requests_from(req);
+  cb.on_completed = [&](std::size_t, int attempt, WorkerResult&&) {
+    completed_attempt.store(attempt);
+  };
+  cb.on_retrying = [&](std::size_t, int attempt, const std::string&) {
+    std::lock_guard<std::mutex> lock(mu);
+    retry_attempts.push_back(attempt);
+    ++retried;
+  };
+  cb.on_requeued = [&](std::size_t, int, const std::string&) { ++requeued; };
+
+  std::thread dispatcher([&] {
+    run_dispatch_queue(1, std::vector<char>(1, 0), opts, pol, &board, cb);
+  });
+  wait_for([&] { return port.load() > 0; }, 10.0, "listener port");
+
+  // Stub 1 takes the grant and stays silent until its lease expires.
+  Stub s1(port.load());
+  s1.send(encode_hello_frame("stale"));
+  s1.send(encode_request_frame());
+  const WireFrame g1 = s1.read_frame();
+  ASSERT_EQ(g1.type, FrameType::kGrant);
+  wait_for([&] { return requeued.load() > 0; }, 10.0, "lease expiry");
+
+  // Stub 2 takes attempt 0 and reports a failure: the spec retries.
+  Stub s2(port.load());
+  s2.send(encode_hello_frame("live"));
+  s2.send(encode_request_frame());
+  const WireFrame g2 = s2.read_frame();
+  ASSERT_EQ(g2.type, FrameType::kGrant);
+  EXPECT_EQ(g2.request.attempt, 0);
+  WorkerResult bad;
+  bad.error = "simulated failure";
+  s2.send(encode_result_frame(0, 0, bad));
+  wait_for([&] { return retried.load() == 1; }, 10.0, "first retry");
+
+  // Stub 1 now reports the same failure of attempt 0. Wait until the
+  // dispatcher has handled it, whichever way it goes.
+  s1.send(encode_result_frame(0, g1.request.attempt, bad));
+  wait_for(
+      [&] {
+        return board.snapshot().dispatch.duplicates_discarded >= 1 ||
+               retried.load() > 1;
+      },
+      10.0, "stale report handled");
+
+  // Stub 2 takes attempt 1 and completes it.
+  WorkerResult ok;
+  ok.ok = true;
+  s2.send(encode_request_frame());
+  const WireFrame g3 = s2.read_frame();
+  ASSERT_EQ(g3.type, FrameType::kGrant);
+  EXPECT_EQ(g3.request.attempt, 1);
+  s2.send(encode_result_frame(0, g3.request.attempt, ok));
+  dispatcher.join();
+
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(retry_attempts, std::vector<int>{1});
+  EXPECT_EQ(completed_attempt.load(), 1);
+  EXPECT_EQ(board.snapshot().dispatch.duplicates_discarded, 1u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Worker protocol: bit-exact request/result round-trips through the
-// sealed container images, and the table of waitpid-status + stream
-// state -> supervisor decisions.
+// grant and result frames that carry them, and the table of
+// waitpid-status + stream state -> supervisor decisions.
 #include "experiment/worker_protocol.hpp"
 
 #include <gtest/gtest.h>
@@ -8,8 +8,7 @@
 #include <csignal>
 #include <cstring>
 
-#include "common/config_io.hpp"
-#include "snapshot/snapshot_io.hpp"
+#include "experiment/dispatch.hpp"
 
 namespace dftmsn {
 namespace {
@@ -23,6 +22,13 @@ bool same_bits(double a, double b) {
 int exited(int code) { return code << 8; }
 int signaled(int sig) { return sig; }
 
+WireFrame extract(const std::vector<std::uint8_t>& frame) {
+  WireFrame f;
+  EXPECT_EQ(try_extract_frame(frame.data(), frame.size(), "t", &f),
+            frame.size());
+  return f;
+}
+
 TEST(WorkerProtocol, RequestRoundTripsConfigBitExactly) {
   WorkerRequest req;
   // Doubles that do NOT survive the 6-significant-digit textual config
@@ -33,11 +39,11 @@ TEST(WorkerProtocol, RequestRoundTripsConfigBitExactly) {
   req.config.faults.plan = "segv@300:attempts=1";
   req.kind = ProtocolKind::kDirect;
   req.attempt = 3;
+  req.spec = 7;
   req.checkpoint_path = "ck/spec_7.ckpt";
   req.checkpoint_every_s = 250.25;
 
-  const WorkerRequest got =
-      decode_worker_request(encode_worker_request(req));
+  const WorkerRequest got = extract(encode_grant_frame(1.0, req)).request;
   EXPECT_TRUE(same_bits(got.config.protocol.alpha, req.config.protocol.alpha));
   EXPECT_TRUE(same_bits(got.config.scenario.duration_s,
                         req.config.scenario.duration_s));
@@ -45,6 +51,7 @@ TEST(WorkerProtocol, RequestRoundTripsConfigBitExactly) {
   EXPECT_EQ(got.config.faults.plan, req.config.faults.plan);
   EXPECT_EQ(got.kind, req.kind);
   EXPECT_EQ(got.attempt, req.attempt);
+  EXPECT_EQ(got.spec, req.spec);
   EXPECT_EQ(got.checkpoint_path, req.checkpoint_path);
   EXPECT_TRUE(same_bits(got.checkpoint_every_s, req.checkpoint_every_s));
 }
@@ -61,7 +68,7 @@ TEST(WorkerProtocol, OkResultRoundTripsWithRegistry) {
   res.registry.gauge("queue.peak_fill")->set(0.75);
   res.registry.histogram("delay", 0.0, 100.0, 4)->observe(12.5);
 
-  const WorkerResult got = decode_worker_result(encode_worker_result(res));
+  const WorkerResult got = extract(encode_result_frame(4, 1, res)).result;
   EXPECT_TRUE(got.ok);
   EXPECT_TRUE(got.error.empty());
   EXPECT_TRUE(same_bits(got.result.delivery_ratio, res.result.delivery_ratio));
@@ -78,31 +85,11 @@ TEST(WorkerProtocol, ErrorResultRoundTrips) {
   res.error = "simulated crash at t=300";
   res.checkpoints_written = 2;
 
-  const WorkerResult got = decode_worker_result(encode_worker_result(res));
+  const WorkerResult got = extract(encode_result_frame(4, 1, res)).result;
   EXPECT_FALSE(got.ok);
   EXPECT_EQ(got.error, "simulated crash at t=300");
   EXPECT_EQ(got.checkpoints_written, 2u);
   EXPECT_TRUE(got.registry.empty());
-}
-
-TEST(WorkerProtocol, CorruptImagesAreRejected) {
-  WorkerResult res;
-  res.ok = true;
-  std::vector<std::uint8_t> image = encode_worker_result(res);
-
-  // Every single-byte flip must fail the digest (or, for trailing-digest
-  // bytes, the magic/digest pair) — spot-check a spread of positions.
-  for (const std::size_t at :
-       {std::size_t{0}, std::size_t{3}, image.size() / 2, image.size() - 1}) {
-    std::vector<std::uint8_t> bad = image;
-    bad[at] ^= 0x40;
-    EXPECT_THROW(decode_worker_result(bad), snapshot::SnapshotError) << at;
-  }
-  // Truncation.
-  std::vector<std::uint8_t> shorter(image.begin(), image.end() - 9);
-  EXPECT_THROW(decode_worker_result(shorter), snapshot::SnapshotError);
-  // A request is not a result (foreign magic).
-  EXPECT_THROW(decode_worker_request(image), snapshot::SnapshotError);
 }
 
 TEST(WorkerProtocol, DecodeWorkerExitTable) {

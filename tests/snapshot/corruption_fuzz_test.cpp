@@ -1,13 +1,14 @@
 // Corruption fuzz matrix: every durable file kind the sweep machinery
 // reads back (checkpoint container + the checkpoint payloads inside it,
-// manifest, motion trace) and every image it reads off a worker stream
-// (sealed worker request/result, dispatch frames) is subjected to
-// deterministic single-byte flips and truncations at positions swept
-// across the whole file. The contract under test: a reader either
-// succeeds (the damage hit dead bytes or free text) or throws an
-// exception naming the damaged file — never crashes, never returns
-// garbage silently. The CI runs this suite under ASan+UBSan, which turns
-// "never crashes" into "no out-of-bounds read on any torn length field".
+// manifest, motion trace) and every frame it reads off a worker stream
+// (dispatch frames, the worker requests and results included) is
+// subjected to deterministic single-byte flips and truncations at
+// positions swept across the whole file. The contract under test: a
+// reader either succeeds (the damage hit dead bytes or free text) or
+// throws an exception naming the damaged file — never crashes, never
+// returns garbage silently. The CI runs this suite under ASan+UBSan,
+// which turns "never crashes" into "no out-of-bounds read on any torn
+// length field".
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -176,69 +177,30 @@ TEST(CorruptionFuzz, Manifest) {
             });
 }
 
-TEST(CorruptionFuzz, WorkerRequestAndResult) {
-  TempDir dir("fuzz_worker.tmp");
-  // The images travel inside dispatch frames, not files; the probe
-  // decodes each mutated image the way a worker or parent would and, as
-  // the frame loops do, names the stream (here: the scratch file).
-  const auto decodes = [](auto decode) {
-    return [decode](const std::string& p) {
-      try {
-        decode(slurp(p));
-      } catch (const std::exception& e) {
-        throw snapshot::SnapshotError(p + ": " + e.what());
-      }
-    };
-  };
-
-  WorkerRequest req;
-  req.config = small_config(21);
-  req.attempt = 1;
-  req.checkpoint_path = dir.path + "/checkpoints.dcc";
-  req.checkpoint_spec = 3;
-  req.checkpoint_every_s = 100.0;
-  fuzz_file(encode_worker_request(req), dir.path + "/fuzzed.req",
-            decodes([](const std::vector<std::uint8_t>& image) {
-              decode_worker_request(image);
-            }));
-
-  WorkerResult res;
-  res.ok = true;
-  res.result.delivery_ratio = 0.5;
-  res.result.generated = 100;
-  res.result.delivered = 50;
-  res.checkpoints_written = 2;
-  fuzz_file(encode_worker_result(res), dir.path + "/fuzzed.result",
-            decodes([](const std::vector<std::uint8_t>& image) {
-              decode_worker_result(image);
-            }));
-}
-
 TEST(CorruptionFuzz, DispatchFrames) {
   TempDir dir("fuzz_frames.tmp");
 
   // A realistic dispatch stream: every frame type in conversation order,
-  // the grant and result carrying real sealed container images (so flips
-  // inside a digest-clean frame's payload still hit validated bytes).
+  // the grant carrying a real request (config, checkpoint path and
+  // period) and the result a real result, so flips land in their fields.
   WorkerRequest req;
   req.config = small_config(31);
   req.attempt = 1;
-  GrantItem item;
-  item.spec = 2;
-  item.attempt = 1;
-  item.request = encode_worker_request(req);
+  req.spec = 2;
+  req.checkpoint_path = dir.path + "/checkpoints.dcc";
+  req.checkpoint_every_s = 100.0;
   WorkerResult res;
   res.ok = true;
   res.result.delivery_ratio = 0.25;
   res.result.generated = 8;
   res.result.delivered = 2;
+  res.checkpoints_written = 2;
 
   std::vector<std::uint8_t> stream;
   for (const auto& frame :
        {encode_hello_frame("fuzz-worker"), encode_request_frame(),
-        encode_grant_frame(7, 1.5, {item}),
-        encode_heartbeat_frame(7, 2, 99, 0),
-        encode_result_frame(7, 2, 1, encode_worker_result(res)),
+        encode_grant_frame(1.5, req), encode_heartbeat_frame(2, 99, 0),
+        encode_result_frame(2, 1, res),
         encode_nowork_frame(true)})
     stream.insert(stream.end(), frame.begin(), frame.end());
 
