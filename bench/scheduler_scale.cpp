@@ -1,15 +1,17 @@
 // SCHED-SCALE: scheduler + channel scale trajectory.
 //
 // Runs the paper scenario at constant node density for n = 100 / 1k /
-// 10k / 100k sensors and reports wall-clock events/sec, node-sim-seconds
-// per wall-second (World construction included) and peak RSS, so every
-// later PR can prove (or refute) hot-path speedups against the committed
-// BENCH_scheduler.json baseline (format: docs/performance.md). Each
-// point runs in a forked child, so its peak RSS is its own.
+// 10k / 100k / 1M sensors and reports wall-clock events/sec,
+// node-sim-seconds per wall-second (World construction included) and
+// peak RSS, so every later PR can prove (or refute) hot-path speedups
+// against the committed BENCH_scheduler.json baseline (format:
+// docs/performance.md). Each point runs in a forked child, so its peak
+// RSS is its own.
 //
 // Usage: scheduler_scale [--out FILE] [--max-n N]
 //   --out FILE   JSON output path (default: no JSON, stdout table only)
-//   --max-n N    largest population to run (default 100000)
+//   --max-n N    largest population to run (default 100000; the n = 1M
+//                point needs ~3.3 GB and runs only when asked for)
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -159,7 +161,8 @@ int main(int argc, char** argv) {
   // Sim horizons chosen so each point executes a few hundred thousand to a
   // few million events: enough to amortize startup, bounded wall-clock.
   const std::vector<std::pair<int, double>> schedule = {
-      {100, 1000.0}, {1000, 200.0}, {10'000, 50.0}, {100'000, 10.0}};
+      {100, 1000.0},   {1000, 200.0},   {10'000, 50.0},
+      {100'000, 10.0}, {1'000'000, 2.0}};
 
   std::vector<Point> points;
   std::cout << "SCHED-SCALE: events/sec at constant density (OPT, seed 42)\n";

@@ -13,10 +13,12 @@ cd "$(dirname "$0")"
 } > bench_output.txt 2>&1
 
 # Scheduler scaling trajectory: the machine-readable events/sec curve
-# (format: docs/performance.md) next to the human-readable table that the
-# loop above already dropped into bench_output.txt.
+# (format: docs/performance.md) through n = 1M (~3.3 GB peak), next to
+# the human-readable table that the loop above already dropped into
+# bench_output.txt (through n = 100k, the default --max-n).
 if [ -x build/bench/scheduler_scale ]; then
-  build/bench/scheduler_scale --out BENCH_scheduler.json > /dev/null
+  build/bench/scheduler_scale --max-n 1000000 --out BENCH_scheduler.json \
+      > /dev/null
 fi
 
 # Cross-scenario protocol rankings (format: docs/scenarios.md); trace

@@ -215,11 +215,25 @@ struct Sweep {
   SpecSink publish;  ///< in spec-index order to the manifest and sink
   telemetry::StatusBoard* board = nullptr;
   telemetry::LifecycleTrace* trace = nullptr;
+  /// Nonzero while spec i's "attempt" span is open in the trace. Under
+  /// dispatch a lost grant closes it, and a late result or a stop may
+  /// then settle the spec with no attempt running.
+  std::vector<char> in_attempt;
 
   void start(std::size_t i, int attempt) {
     if (board) board->mark_running(i, attempt);
-    if (trace)
+    if (trace) {
       trace->begin(i, "attempt", {{"attempt", std::to_string(attempt)}});
+      in_attempt[i] = 1;
+    }
+  }
+
+  /// Closes spec i's attempt span, if one is open.
+  void end_attempt(std::size_t i) {
+    if (trace && in_attempt[i]) {
+      trace->end(i, "attempt");
+      in_attempt[i] = 0;
+    }
   }
 
   /// Accepts attempt `attempt`'s result. It replayed (or ran) the whole
@@ -232,7 +246,7 @@ struct Sweep {
     rec.detail.clear();
     rec.result = w.result;
     rec.registry.merge(w.registry);
-    if (trace) trace->end(i, "attempt");
+    end_attempt(i);
     publish_completed(i);
   }
 
@@ -261,8 +275,8 @@ struct Sweep {
     if (give_up) rec.status = SpecStatus::kQuarantined;
     if (board && give_up) board->mark_quarantined(i, detail);
     if (board && !give_up) board->mark_retrying(i, retries, detail);
+    end_attempt(i);
     if (trace) {
-      trace->end(i, "attempt");
       trace->instant(i, give_up ? "quarantine" : "retry",
                      {{"attempt", std::to_string(std::max(0, retries - 1))},
                       {"reason", detail}});
@@ -284,10 +298,8 @@ struct Sweep {
       board->sync_checkpoints(i, rec.checkpoints);
       board->mark_interrupted(i, rec.detail);
     }
-    if (trace) {
-      if (!detail.empty()) trace->end(i, "attempt");
-      trace->instant(i, "interrupted", {{"reason", rec.detail}});
-    }
+    end_attempt(i);
+    if (trace) trace->instant(i, "interrupted", {{"reason", rec.detail}});
     publish(i, std::move(rec));
   }
 
@@ -953,7 +965,7 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
       ltrace = std::make_unique<telemetry::LifecycleTrace>(opts.obs.trace_path);
   }
   Sweep sw{specs, opts, std::string(), records, publish, board.get(),
-           ltrace.get()};
+           ltrace.get(), std::vector<char>(specs.size())};
   if (use_dir) sw.ckpt = checkpoint_container_path(opts.checkpoint_dir);
   // Resume carry-over: completed specs never re-run, so they emit (in
   // index order) and reach the board here or never.
@@ -1130,6 +1142,7 @@ StreamStats run_specs_streamed(const std::vector<RunSpec>& specs,
       };
       cb.on_requeued = [&](std::size_t i, int count,
                            const std::string& reason) {
+        sw.end_attempt(i);  // the lost grant's attempt is over
         if (sw.trace)
           sw.trace->instant(i, "requeue",
                             {{"count", std::to_string(count)},

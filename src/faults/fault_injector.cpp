@@ -20,7 +20,7 @@ FaultInjector::FaultInjector(Simulator& sim, Channel& channel, FaultPlan plan,
       plan_(std::move(plan)),
       sensors_(sensors),
       sinks_(sinks),
-      rng_(rng),
+      rng_(std::move(rng)),
       attempt_(attempt) {
   const NodeId total = static_cast<NodeId>(sensors_.size() + sinks_.size());
   bool any_loss = false;

@@ -1,6 +1,7 @@
 #include "mobility/random_waypoint.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace dftmsn {
 
@@ -8,7 +9,7 @@ RandomWaypoint::RandomWaypoint(const ZoneGrid& grid, Params params, Vec2 start,
                                RandomStream rng)
     : grid_(grid),
       params_(params),
-      rng_(rng),
+      rng_(std::move(rng)),
       position_(grid.clamp_to_field(start)) {
   pick_waypoint();
 }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <utility>
 
 namespace dftmsn {
 
@@ -9,7 +10,7 @@ ZoneMobility::ZoneMobility(const ZoneGrid& grid, Params params, Vec2 start,
                            RandomStream rng)
     : grid_(grid),
       params_(params),
-      rng_(rng),
+      rng_(std::move(rng)),
       position_(grid.clamp_to_field(start)),
       speed_(rng_.uniform(params.speed_min, params.speed_max)),
       home_zone_(grid.zone_of(position_)),

@@ -1,6 +1,7 @@
 #include "node/sink_node.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace dftmsn {
 
@@ -13,7 +14,7 @@ SinkNode::SinkNode(NodeId id, Simulator& sim, Channel& channel,
       radio_(sim, energy, config.radio.switch_time_s),
       cfg_(config),
       metrics_(metrics),
-      rng_(rng),
+      rng_(std::move(rng)),
       slot_s_(config.radio.control_tx_time()) {}
 
 bool SinkNode::can_transmit() const {

@@ -57,7 +57,7 @@ CrossLayerMac::CrossLayerMac(NodeId id, Simulator& sim, Channel& channel,
       options_(options),
       first_sink_id_(first_sink_id),
       metrics_(metrics),
-      rng_(rng),
+      rng_(std::move(rng)),
       timing_(config.radio),
       sleep_ctl_(config.sleep,
                  // SleepController only reads the model once to derive

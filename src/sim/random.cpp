@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <random>
 #include <stdexcept>
+#include <utility>
 
 namespace dftmsn {
 
@@ -31,37 +32,115 @@ bool RandomStream::bernoulli(double p) {
   return uniform01() < clamped;
 }
 
-// A World holds about three streams per sensor: the lazy state must not
-// make one larger than a stream wrapping the standard library's engine.
-static_assert(sizeof(RandomStream) == 2520);
+// A World holds about three streams per sensor, and most never draw m
+// words: a compact stream must stay five words.
+static_assert(sizeof(RandomStream) == 40);
 
-void RandomStream::CountingEngine::seed_through(std::uint32_t end) {
-  for (std::uint32_t i = seeded_; i < end; ++i)
-    x_[i] = f * (x_[i - 1] ^ (x_[i - 1] >> (w - 2))) + i;
-  seeded_ = end;
+RandomStream::CountingEngine::CountingEngine(const CountingEngine& other)
+    : CountingEngine(other.seed_) {
+  *this = other;
 }
 
-std::uint64_t RandomStream::CountingEngine::operator()() {
-  constexpr std::uint64_t upper = ~std::uint64_t{0} << r;
-  ++draws_;
-  const std::uint32_t k = p_;
-  if (seeded_ < n) seed_through(std::min(k + m + 1, n));
-  const std::uint32_t next = k + 1 < n ? k + 1 : 0;
-  const std::uint64_t y = (x_[k] & upper) | (x_[next] & ~upper);
-  x_[k] = x_[k < n - m ? k + m : k + m - n] ^ (y >> 1) ^ ((y & 1) ? a : 0);
-  p_ = next;
+RandomStream::CountingEngine& RandomStream::CountingEngine::operator=(
+    const CountingEngine& other) {
+  if (this == &other) return *this;
+  if (!other.x_) {
+    x_.reset();
+  } else {
+    if (!x_) x_ = std::make_unique_for_overwrite<std::uint64_t[]>(n);
+    std::copy_n(other.x_.get(), n, x_.get());
+  }
+  seed_ = other.seed_;
+  draws_ = other.draws_;
+  near_ = other.near_;
+  far_ = other.far_;
+  return *this;
+}
 
-  std::uint64_t z = x_[k];
+RandomStream::CountingEngine::CountingEngine(CountingEngine&& other) noexcept
+    : CountingEngine(other.seed_) {
+  *this = std::move(other);
+}
+
+RandomStream::CountingEngine& RandomStream::CountingEngine::operator=(
+    CountingEngine&& other) noexcept {
+  if (this == &other) return *this;
+  seed_ = other.seed_;
+  draws_ = std::exchange(other.draws_, 0);
+  near_ = std::exchange(other.near_, other.seed_);
+  far_ = std::exchange(other.far_, 0);
+  x_ = std::move(other.x_);
+  return *this;
+}
+
+std::uint64_t RandomStream::CountingEngine::seed_step(std::uint64_t prev,
+                                                      std::uint32_t i) {
+  return f * (prev ^ (prev >> (w - 2))) + i;
+}
+
+std::uint64_t RandomStream::CountingEngine::twist(std::uint64_t xk,
+                                                  std::uint64_t xk1,
+                                                  std::uint64_t xkm) {
+  constexpr std::uint64_t upper = ~std::uint64_t{0} << r;
+  const std::uint64_t y = (xk & upper) | (xk1 & ~upper);
+  // The low bit of y is a coin flip: select `a` by mask, as a branch on
+  // it would mispredict on half the draws.
+  return xkm ^ (y >> 1) ^ ((std::uint64_t{0} - (y & 1)) & a);
+}
+
+std::uint64_t RandomStream::CountingEngine::temper(std::uint64_t z) {
   z ^= (z >> u) & d;
   z ^= (z << s) & b;
   z ^= (z << t) & c;
   return z ^ (z >> l);
 }
 
+std::uint64_t RandomStream::CountingEngine::draw_without_words() {
+  if (draws_ == m) {
+    materialize();
+    return (*this)();
+  }
+  const auto k = static_cast<std::uint32_t>(draws_);
+  if (k == 0) {
+    far_ = seed_;
+    for (std::uint32_t i = 1; i <= m; ++i) far_ = seed_step(far_, i);
+  }
+  const std::uint64_t next = seed_step(near_, k + 1);
+  const std::uint64_t z = twist(near_, next, far_);
+  near_ = next;
+  far_ = seed_step(far_, k + m + 1);
+  ++draws_;
+  return temper(z);
+}
+
+void RandomStream::CountingEngine::materialize() {
+  x_ = std::make_unique_for_overwrite<std::uint64_t[]>(n);
+  x_[0] = seed_;
+  for (std::uint32_t i = 1; i < n; ++i) x_[i] = seed_step(x_[i - 1], i);
+  for (std::uint32_t k = 0; k < m; ++k)
+    x_[k] = twist(x_[k], x_[k + 1], x_[k + m]);
+  near_ = m;
+}
+
+std::uint64_t RandomStream::CountingEngine::operator()() {
+  if (!x_) [[unlikely]]
+    return draw_without_words();
+  ++draws_;
+  const auto k = static_cast<std::uint32_t>(near_);
+  const std::uint32_t next = k + 1 < n ? k + 1 : 0;
+  const std::uint64_t z =
+      twist(x_[k], x_[next], x_[k < n - m ? k + m : k + m - n]);
+  x_[k] = z;
+  near_ = next;
+  return temper(z);
+}
+
 void RandomStream::CountingEngine::restore(std::uint64_t seed,
                                            std::uint64_t draws) {
   *this = CountingEngine(seed);
-  for (std::uint64_t i = 0; i < draws; ++i) (void)(*this)();
+  // Draw m replays the draws before it itself.
+  if (draws >= m) draws_ = m;
+  while (draws_ < draws) (void)(*this)();
 }
 
 void RandomStream::save_state(snapshot::Writer& w) const {

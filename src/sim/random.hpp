@@ -2,8 +2,8 @@
 // adding a new random draw in one subsystem does not perturb another.
 #pragma once
 
-#include <array>
 #include <cstdint>
+#include <memory>
 #include <string_view>
 
 #include "snapshot/snapshot_io.hpp"
@@ -13,8 +13,8 @@ namespace dftmsn {
 /// One random stream: an MT19937-64 (the standard library's mt19937_64
 /// sequence, word for word) behind the distributions the simulator draws
 /// from.
-/// Building a stream computes nothing: the engine seeds and twists its
-/// state lazily, as words are drawn.
+/// Building a stream computes nothing, and a stream holds no state words
+/// until its 157th draw: before that it is 40 bytes.
 class RandomStream {
  public:
   explicit RandomStream(std::uint64_t seed) : engine_(seed) {}
@@ -52,14 +52,23 @@ class RandomStream {
   /// words when the block starts. The batch twist updates the words in
   /// index order, so word k reads the same values either way: x[k+1] and
   /// x[k+m] not yet twisted in this block (x[k+m-n] already twisted once
-  /// k >= n-m; k = n-1 reads the new x[0]). In the first block the seed
-  /// recurrence runs only as far as the next twist reads, so a stream
-  /// that is never drawn from never computes its state.
+  /// k >= n-m; k = n-1 reads the new x[0]).
+  ///
+  /// Before draw m, draw k reads only the seed words x[k], x[k+1] and
+  /// x[k+m], and the seed recurrence is first order, so a *compact*
+  /// engine walks two cursors along it and holds no words. Draw m
+  /// allocates the n words and replays the first m draws into them once;
+  /// the engine is *materialized* from then on.
   class CountingEngine {
    public:
     using result_type = std::uint64_t;
 
-    explicit CountingEngine(std::uint64_t seed) : seed_(seed) { x_[0] = seed; }
+    explicit CountingEngine(std::uint64_t seed) : seed_(seed), near_(seed) {}
+    CountingEngine(const CountingEngine& other);
+    CountingEngine& operator=(const CountingEngine& other);
+    /// A moved-from engine restarts its seed's sequence.
+    CountingEngine(CountingEngine&& other) noexcept;
+    CountingEngine& operator=(CountingEngine&& other) noexcept;
 
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~result_type{0}; }
@@ -84,14 +93,28 @@ class RandomStream {
     static constexpr unsigned l = 43;
     static constexpr std::uint64_t f = 6364136223846793005ULL;
 
-    /// Runs the seed recurrence until x[0, end) hold seed values.
-    void seed_through(std::uint32_t end);
+    /// Seed word i from seed word i - 1.
+    static std::uint64_t seed_step(std::uint64_t prev, std::uint32_t i);
+    /// The twist of word k from x[k], x[k+1] and x[k+m] (or x[k+m-n]).
+    static std::uint64_t twist(std::uint64_t xk, std::uint64_t xk1,
+                               std::uint64_t xkm);
+    static result_type temper(std::uint64_t z);
+
+    /// A draw of an engine without words: compact before draw m, and at
+    /// draw m it materializes first.
+    result_type draw_without_words();
+    /// At draw m: allocates the words and twists the first m of them.
+    void materialize();
 
     std::uint64_t seed_;
     std::uint64_t draws_ = 0;
-    std::uint32_t p_ = 0;       ///< the word the next draw twists
-    std::uint32_t seeded_ = 1;  ///< x[0, seeded_) hold seed values
-    std::array<std::uint64_t, n> x_{};
+    /// Compact, before draw m: seed word x[draws_]. Materialized: the
+    /// index of the word the next draw twists.
+    std::uint64_t near_;
+    /// Compact, drawn from, before draw m: seed word x[draws_ + m].
+    std::uint64_t far_ = 0;
+    /// The n state words; null while compact.
+    std::unique_ptr<std::uint64_t[]> x_;
   };
 
   CountingEngine engine_;

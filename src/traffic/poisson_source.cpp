@@ -13,7 +13,7 @@ PoissonSource::PoissonSource(Simulator& sim, MessageIdAllocator& ids,
       source_(source),
       mean_interval_s_(mean_interval_s),
       bits_(bits),
-      rng_(rng),
+      rng_(std::move(rng)),
       sink_(std::move(sink)) {
   if (mean_interval_s <= 0)
     throw std::invalid_argument("PoissonSource: mean interval <= 0");

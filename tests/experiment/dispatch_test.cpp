@@ -16,7 +16,9 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -27,6 +29,7 @@
 #include "experiment/supervisor.hpp"
 #include "experiment/worker_protocol.hpp"
 #include "snapshot/snapshot_io.hpp"
+#include "telemetry/json_value.hpp"
 #include "telemetry/status.hpp"
 
 namespace dftmsn {
@@ -575,6 +578,63 @@ TEST(DispatchQueue, DispatchedSweepMatchesInProcessManifestBytes) {
   EXPECT_EQ(snapshot::read_file(manifest_path(run_dir.path)),
             snapshot::read_file(manifest_path(ref_dir.path)))
       << "dispatched manifest must be byte-identical to in-process";
+}
+
+TEST(DispatchQueue, LostGrantClosesItsAttemptSpanInTheTrace) {
+  TempDir dir("dispatch_trace.tmp");
+  const std::vector<RunSpec> specs = make_specs(4);
+
+  SupervisorOptions opts;
+  opts.checkpoint_dir = dir.path;
+  opts.obs.trace_path = dir.path + "/trace.jsonl";
+  std::atomic<int> port{0};
+  opts.dispatch.port = 0;
+  opts.dispatch.port_out = &port;
+
+  SweepManifest got;
+  std::thread supervisor([&] { got = run_specs_supervised(specs, opts); });
+  wait_for([&] { return port.load() > 0; }, 10.0, "dispatch port");
+  {
+    // A worker that hangs up holding its grant: the dispatcher drops the
+    // connection and requeues the spec, whose attempt span must close.
+    Stub lost(port.load());
+    lost.send(encode_hello_frame("lost"));
+    lost.send(encode_request_frame());
+    EXPECT_EQ(lost.read_frame().type, FrameType::kGrant);
+  }
+  std::thread worker([&] {
+    EXPECT_EQ(run_dispatch_worker("127.0.0.1", port.load()), 0);
+  });
+  supervisor.join();
+  worker.join();
+  ASSERT_EQ(got.completed(), 4);
+
+  std::ifstream in(opts.obs.trace_path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  ASSERT_EQ(line, "[");
+  std::map<std::uint64_t, int> open;  // per spec: begins minus ends
+  int requeues = 0;
+  while (std::getline(in, line)) {
+    ASSERT_EQ(line.back(), ',');
+    const telemetry::JsonValue v =
+        telemetry::parse_json(line.substr(0, line.size() - 1));
+    const auto spec = static_cast<std::uint64_t>(v.number_or("tid", -1));
+    const std::string ph = v.string_or("ph", "");
+    if (ph == "B") {
+      ASSERT_EQ(++open[spec], 1) << "nested span, spec " << spec;
+    } else if (ph == "E") {
+      ASSERT_EQ(--open[spec], 0) << "unopened end, spec " << spec;
+    }
+    if (v.string_or("name", "") == "requeue") {
+      ++requeues;
+      EXPECT_EQ(open[spec], 0) << "requeue inside an open span";
+    }
+  }
+  EXPECT_EQ(requeues, 1);
+  EXPECT_EQ(open.size(), specs.size());
+  for (const auto& [spec, depth] : open)
+    EXPECT_EQ(depth, 0) << "unclosed span, spec " << spec;
 }
 
 TEST(DispatchQueue, SimFailureRetriesThenQuarantinesLikeLocalModes) {

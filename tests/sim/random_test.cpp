@@ -264,6 +264,95 @@ TEST(RandomStreamDiff, LoadStateAtEachCountContinuesTheOracle) {
   }
 }
 
+// A stream is compact (no state words) before draw 156 and materialized
+// from then on: copies, moves and loads must carry either state into a
+// stream in either state. These counts straddle the switch and the first
+// block boundary.
+constexpr std::uint64_t kEdgeCounts[] = {0, 1, 155, 156, 157, 311, 312};
+
+/// A stream of `seed` with `k` words drawn, checked against the oracle.
+RandomStream stream_at(std::uint64_t seed, std::uint64_t k) {
+  RandomStream rs(seed);
+  std::mt19937_64 oracle(seed);
+  expect_same_uniforms(rs, oracle, k, "prefix");
+  return rs;
+}
+
+/// The oracle for `seed` with `k` words drawn.
+std::mt19937_64 oracle_at(std::uint64_t seed, std::uint64_t k) {
+  std::mt19937_64 oracle(seed);
+  oracle.discard(k);
+  return oracle;
+}
+
+TEST(RandomStreamDiff, MoveConstructAtEachEdgeContinuesTheOracle) {
+  for (const std::uint64_t seed : diff_seeds()) {
+    SCOPED_TRACE(seed);
+    for (const std::uint64_t k : kEdgeCounts) {
+      RandomStream source = stream_at(seed, k);
+      RandomStream moved(std::move(source));
+      std::mt19937_64 oracle = oracle_at(seed, k);
+      expect_same_uniforms(moved, oracle, 700, "moved");
+      // The moved-from stream restarts its seed's sequence.
+      std::mt19937_64 fresh(seed);
+      expect_same_uniforms(source, fresh, 400, "moved-from");
+    }
+  }
+}
+
+TEST(RandomStreamDiff, MoveAssignAtEachEdgeContinuesTheOracle) {
+  for (const std::uint64_t seed : diff_seeds()) {
+    SCOPED_TRACE(seed);
+    for (const std::uint64_t k : kEdgeCounts) {
+      // Into a compact and into a materialized stream of another seed.
+      for (const std::uint64_t target_k : {3, 500}) {
+        RandomStream source = stream_at(seed, k);
+        RandomStream target = stream_at(seed ^ 0x5a5a, target_k);
+        target = std::move(source);
+        std::mt19937_64 oracle = oracle_at(seed, k);
+        expect_same_uniforms(target, oracle, 700, "move-assigned");
+        std::mt19937_64 fresh(seed);
+        expect_same_uniforms(source, fresh, 400, "moved-from");
+      }
+    }
+  }
+}
+
+TEST(RandomStreamDiff, CopyAssignAcrossStatesContinuesTheOracle) {
+  struct Case {
+    std::uint64_t source_k, target_k;
+  };
+  // compact -> materialized, materialized -> compact, and materialized
+  // -> materialized (the target's words are overwritten in place).
+  constexpr Case kCases[] = {{100, 400}, {400, 100}, {700, 300}};
+  for (const std::uint64_t seed : diff_seeds()) {
+    SCOPED_TRACE(seed);
+    for (const Case& c : kCases) {
+      RandomStream source = stream_at(seed, c.source_k);
+      RandomStream target = stream_at(seed ^ 0x5a5a, c.target_k);
+      target = source;
+      std::mt19937_64 for_target = oracle_at(seed, c.source_k);
+      std::mt19937_64 for_source = for_target;
+      expect_same_uniforms(target, for_target, 700, "copy");
+      expect_same_uniforms(source, for_source, 700, "source");
+    }
+  }
+}
+
+TEST(RandomStreamDiff, CompactImageLoadsIntoAMaterializedStream) {
+  for (const std::uint64_t seed : diff_seeds()) {
+    SCOPED_TRACE(seed);
+    for (const std::uint64_t k : {0, 1, 100, 155}) {
+      const RandomStream source = stream_at(seed, k);
+      RandomStream loaded = stream_at(seed ^ 0x5a5a, 500);
+      load(loaded, saved(source));
+      EXPECT_EQ(saved(loaded), saved(source)) << "k=" << k;
+      std::mt19937_64 oracle = oracle_at(seed, k);
+      expect_same_uniforms(loaded, oracle, 700, "loaded");
+    }
+  }
+}
+
 TEST(RandomSource, SameNameIndexIsDeterministic) {
   RandomSource a(123), b(123);
   RandomStream s1 = a.stream("mobility", 7);
